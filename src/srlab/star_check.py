@@ -18,6 +18,16 @@ it back to the identity.  Counterexamples are therefore found smallest
 length first, then lexicographically least in the fixed factor order
 (factors sorted by size, then text).
 
+Each product is computed once per check.  A table keyed by index prefix
+serves every length and both halves, and is dropped when the check
+returns.  The universe is closed under inversion, so the inverse a prefix
+half is probed with is the product of its mirror, the reversed sequence of
+inverse factors: it is looked up in the same table, and an inverse that
+had to be computed is filed there under the mirror.
+The expansion budget counts enumeration steps (visited prefixes), not
+products computed, so a reused product spends as much budget as a new one
+and the point where the budget runs out does not depend on the tables.
+
 Adjacency is tested by membership: a pair is blocked when some closure
 contains both factors, regardless of which set each factor was chosen
 from.  An element may belong to several closures.
@@ -25,7 +35,7 @@ from.  An element may belong to several closures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .elements import FreeGroupOps, GroupOps, product_of
@@ -49,15 +59,16 @@ class ElementSet:
 
     ops: GroupOps
     elements: tuple
+    members: frozenset = field(repr=False, compare=False)
 
     @staticmethod
     def of(ops: GroupOps, elements) -> "ElementSet":
-        unique = set(elements)
+        unique = frozenset(elements)
         for g in unique:
             if ops.is_identity(g):
                 raise ValueError("identity element not allowed in an ElementSet")
         ordered = tuple(sorted(unique, key=lambda g: (ops.size(g), ops.fmt(g))))
-        return ElementSet(ops, ordered)
+        return ElementSet(ops, ordered, unique)
 
     @staticmethod
     def from_words(elements) -> "ElementSet":
@@ -73,7 +84,7 @@ class ElementSet:
         return iter(self.elements)
 
     def __contains__(self, g) -> bool:
-        return g in set(self.elements)
+        return g in self.members
 
 
 @dataclass(frozen=True)
@@ -132,42 +143,58 @@ class _Budget:
             )
 
 
-def _halves(universe, masks, sizes, length, k, ops, budget):
+def _halves(universe, masks, max_size, length, k, products, ops, budget):
     """Yield admissible half-sequences (indices, product) in lex order.
 
     A partial with d factors placed may still be completed to a length-k
     identity product only if its size fits in the remaining k - d slots.
+    products maps an index prefix to its (product, size); one table serves
+    every length and both halves of a check, so each prefix is multiplied
+    once.  The budget is spent per visited prefix, computed or reused.
     """
-    max_size = max(sizes)
-    identity_el = ops.identity_element()
+    n = len(universe)
+    prefix: tuple = ()
+    nexts = [0]  # next candidate index at each open depth
+    while nexts:
+        i = nexts[-1]
+        if i == n:
+            nexts.pop()
+            prefix = prefix[:-1]
+            continue
+        nexts[-1] = i + 1
+        if prefix and masks[i] & masks[prefix[-1]]:
+            continue
+        budget.spend()
+        extended = prefix + (i,)
+        entry = products.get(extended)
+        if entry is None:
+            prod = ops.multiply(products[prefix][0], universe[i])
+            entry = products[extended] = (prod, ops.size(prod))
+        if entry[1] > (k - len(extended)) * max_size:
+            continue
+        if len(extended) == length:
+            yield extended, entry[0]
+        else:
+            prefix = extended
+            nexts.append(0)
 
-    def extend(prefix, prod, last_mask):
-        depth = len(prefix)
-        if depth == length:
-            yield prefix, prod
-            return
-        for i in range(len(universe)):
-            if last_mask is not None and masks[i] & last_mask:
-                continue
-            budget.spend()
-            nxt = ops.multiply(prod, universe[i])
-            if ops.size(nxt) > (k - depth - 1) * max_size:
-                continue
-            yield from extend(prefix + (i,), nxt, masks[i])
 
-    yield from extend((), identity_el, None)
-
-
-def _search_length(k, universe, masks, sizes, ops, budget):
+def _search_length(k, universe, masks, flip, max_size, products, ops, budget):
     k1 = (k + 1) // 2
     k2 = k - k1
     by_product: dict = {}
-    for indices, prod in _halves(universe, masks, sizes, k2, k, ops, budget):
-        by_product.setdefault(_key(ops, prod), []).append(indices)
+    for indices, prod in _halves(universe, masks, max_size, k2, k, products, ops, budget):
+        by_product.setdefault(prod, []).append(indices)
     if not by_product:
         return None
-    for indices, prod in _halves(universe, masks, sizes, k1, k, ops, budget):
-        suffixes = by_product.get(_key(ops, ops.invert(prod)))
+    for indices, prod in _halves(universe, masks, max_size, k1, k, products, ops, budget):
+        # the inverse of the prefix's product is the product of its mirror,
+        # the reversed prefix of inverse factors; size is inversion-invariant
+        mirror = tuple(flip[i] for i in reversed(indices))
+        entry = products.get(mirror)
+        if entry is None:
+            entry = products[mirror] = (ops.invert(prod), products[indices][1])
+        suffixes = by_product.get(entry[0])
         if not suffixes:
             continue
         seam_mask = masks[indices[-1]]
@@ -179,10 +206,6 @@ def _search_length(k, universe, masks, sizes, ops, budget):
                 continue
             return tuple(universe[i] for i in indices + suffix)
     return None
-
-
-def _key(ops, element):
-    return element
 
 
 def check_mutually_reduced(
@@ -201,7 +224,7 @@ def check_mutually_reduced(
     if not sets:
         return MutualVerdict(HOLDS, max_len, None)
     ops = _same_ops(sets)
-    closures = [frozenset(symmetric_closure(s).elements) for s in sets]
+    closures = [symmetric_closure(s).members for s in sets]
     universe = sorted(
         {g for c in closures for g in c}, key=lambda g: (ops.size(g), ops.fmt(g))
     )
@@ -210,10 +233,15 @@ def check_mutually_reduced(
     masks = [
         sum(1 << j for j, c in enumerate(closures) if g in c) for g in universe
     ]
-    sizes = [ops.size(g) for g in universe]
+    position = {g: i for i, g in enumerate(universe)}
+    flip = [position[ops.invert(g)] for g in universe]
+    max_size = max(ops.size(g) for g in universe)
+    products = {(): (ops.identity_element(), 0)}
     budget = _Budget(expansion_budget)
     for k in range(2, max_len + 1):
-        witness = _search_length(k, universe, masks, sizes, ops, budget)
+        witness = _search_length(
+            k, universe, masks, flip, max_size, products, ops, budget
+        )
         if witness is not None:
             return MutualVerdict(COUNTEREXAMPLE, max_len, witness)
     return MutualVerdict(HOLDS, max_len, None)
@@ -232,7 +260,7 @@ def verify_mutual_witness(sets: Sequence[ElementSet], witness) -> bool:
     if not sets:
         return False
     ops = _same_ops(sets)
-    closures = [frozenset(symmetric_closure(s).elements) for s in sets]
+    closures = [symmetric_closure(s).members for s in sets]
     for g in witness:
         if not any(g in c for c in closures):
             return False
@@ -316,9 +344,9 @@ def free_generator_certificate(
     ys = [p[1] for p in pairing]
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise StructureMismatch("paired elements must be distinct")
-    if frozenset(m1.elements) != _expected_remark_set(ops, xs):
+    if m1.members != _expected_remark_set(ops, xs):
         raise StructureMismatch("first set is not {x_i} with quotients adjoined")
-    if frozenset(m2.elements) != _expected_remark_set(ops, ys):
+    if m2.members != _expected_remark_set(ops, ys):
         raise StructureMismatch("second set is not {y_i} with quotients adjoined")
     zs = [ops.multiply(x, ops.invert(y)) for x, y in zip(xs, ys)]
     relation = find_relation(ops, zs, max_len, expansion_budget)

@@ -257,11 +257,6 @@ class SubgroupAutomaton:
     def rank(self) -> int:
         return len(self._tree()[1])
 
-    def min_path(self, state: int) -> Word:
-        """Shortlex-least word tracing base -> state."""
-        paths, _ = self._tree()
-        return Word(self.alphabet, paths[state])
-
     def automaton_basis(self) -> tuple[Word, ...]:
         """Free basis derived from the spanning tree (one word per extra edge)."""
         paths, non_tree = self._tree()

@@ -13,6 +13,7 @@ string) denotes the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import neg
 from typing import Iterable, Iterator
 
 from .errors import AlphabetMismatch, ParseError, UnknownGenerator
@@ -64,6 +65,15 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
         else:
             stack.append(letter)
     return tuple(stack)
+
+
+def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced product of two reduced letter tuples: only the seam cancels."""
+    n = min(len(u), len(v))
+    i = 0
+    while i < n and u[-1 - i] == -v[i]:
+        i += 1
+    return u[: len(u) - i] + v[i:]
 
 
 @dataclass(frozen=True)
@@ -166,11 +176,11 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
 def multiply(u: Word, v: Word) -> Word:
     alphabet = _check_same_alphabet(u, v)
-    return Word(alphabet, _reduce(u.letters + v.letters))
+    return Word(alphabet, _join(u.letters, v.letters))
 
 
 def invert(u: Word) -> Word:
-    return Word(u.alphabet, tuple(-l for l in reversed(u.letters)))
+    return Word(u.alphabet, tuple(map(neg, reversed(u.letters))))
 
 
 def power(u: Word, n: int) -> Word:
@@ -184,8 +194,8 @@ def power(u: Word, n: int) -> Word:
 def conjugate(g: Word, x: Word) -> Word:
     """x^-1 g x, reduced."""
     alphabet = _check_same_alphabet(g, x)
-    inv_x = tuple(-l for l in reversed(x.letters))
-    return Word(alphabet, _reduce(inv_x + g.letters + x.letters))
+    inv_x = tuple(map(neg, reversed(x.letters)))
+    return Word(alphabet, _join(_join(inv_x, g.letters), x.letters))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:

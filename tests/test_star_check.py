@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -182,6 +183,84 @@ def test_meet_in_middle_matches_brute_force():
             assert got.witness == expected
             assert verify_mutual_witness(sets, got.witness)
     assert hits >= 5
+
+
+def _shared_family(rng):
+    # two or three sets drawn from a pool of four short words in F(a, b):
+    # powers of a generator, which give relations, and two-letter words; a
+    # word, or its inverse, often lies in more than one closure
+    pool = []
+    while len(pool) < 4:
+        if rng.random() < 0.6:
+            text = f"{rng.choice('ab')}^{rng.choice([-3, -2, -1, 1, 2, 3])}"
+        else:
+            text = f"{rng.choice('ab')}^{rng.choice([-1, 1])} {rng.choice('ab')}"
+        word = w(text)
+        if not word.is_identity and word not in pool:
+            pool.append(word)
+    sets = []
+    for _ in range(rng.randint(2, 3)):
+        members = rng.sample(pool, rng.randint(1, 2))
+        if rng.random() < 0.3:
+            members[0] = invert(members[0])
+        sets.append(ElementSet.from_words(members))
+    if rng.random() < 0.3:
+        # close a product of two pool words, for odd-length relations
+        x, y = rng.sample(pool, 2)
+        product = invert(multiply(x, y))
+        if not product.is_identity:
+            sets.append(ElementSet.from_words([product]))
+    return sets
+
+
+def test_search_matches_brute_force_at_every_bound():
+    rng = random.Random(2718)
+    shared = 0
+    witness_lengths = []
+    for _ in range(40):
+        sets = _shared_family(rng)
+        closures = [symmetric_closure(s).members for s in sets]
+        if any(a & b for a, b in itertools.combinations(closures, 2)):
+            shared += 1
+        expected = _brute_force(sets, 5)
+        for max_len in range(2, 6):
+            got = check_mutually_reduced(sets, max_len)
+            if expected is None or len(expected) > max_len:
+                assert got.status == HOLDS
+                assert got.witness is None
+            else:
+                assert got.status == COUNTEREXAMPLE
+                assert got.witness == expected
+        if expected is not None:
+            witness_lengths.append(len(expected))
+    assert shared >= 20
+    assert len(witness_lengths) >= 10
+    assert {3, 4} <= set(witness_lengths)
+
+
+def test_budget_counts_visited_prefixes_not_products():
+    # 264 was the smallest budget that completes this check when every
+    # visited prefix was multiplied afresh; the check now computes 102
+    # products, but each visit still spends one unit
+    sets = [es("a^2 b a^2"), es("a^3 b a^3"), es("b a b^-1")]
+    assert check_mutually_reduced(sets, 5, expansion_budget=264).holds
+    with pytest.raises(BudgetExceeded):
+        check_mutually_reduced(sets, 5, expansion_budget=263)
+
+
+def test_check_leaves_no_garbage():
+    # the product table must be freed when the check returns, not by a
+    # later cyclic collection, even when the search stops at a counterexample
+    sets = [es("a b"), es("b a"), es("a b a")]
+    gc.disable()
+    try:
+        gc.collect()
+        verdict = check_mutually_reduced(sets, 5)
+        assert verdict.status == COUNTEREXAMPLE
+        assert len(verdict.witness) == 4
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verify_rejects_tampering():

@@ -15,6 +15,7 @@ from srlab.words import (
     parse_word,
     power,
     reduce,
+    reduce_signed,
     shortlex_key,
 )
 
@@ -137,6 +138,59 @@ def test_multiply_associative(u, v, z):
 @given(word_st(), word_st())
 def test_conjugate_length_bound(g, x):
     assert len(conjugate(g, x)) <= len(g) + 2 * len(x)
+
+
+@st.composite
+def seam_pair_st(draw):
+    """(u, v) with v opening on the inverse of a suffix of u; the suffix runs
+    from empty (nothing cancels) to all of u (u cancels completely)."""
+    u = draw(word_st())
+    cut = draw(st.integers(0, len(u)))
+    tail = invert(u).as_pairs()[:cut]
+    return u, reduce(AB, tail + draw(word_st()).as_pairs())
+
+
+@settings(max_examples=300, deadline=None)
+@given(seam_pair_st())
+def test_seam_product_equals_full_reduction(pair):
+    u, v = pair
+    assert multiply(u, v).letters == reduce_signed(u.letters + v.letters)
+    assert multiply(v, u).letters == reduce_signed(v.letters + u.letters)
+
+
+@st.composite
+def conjugate_pair_st(draw):
+    """(g, x) with g opening on a prefix of x and closing on the inverse of
+    a prefix of x, so that both seams of x^-1 g x can cancel, up to all of x."""
+    x = draw(word_st())
+    head = x.as_pairs()[: draw(st.integers(0, len(x)))]
+    tail = x.as_pairs()[: draw(st.integers(0, len(x)))]
+    tail = tuple((sym, -sign) for sym, sign in reversed(tail))
+    return reduce(AB, head + draw(word_st()).as_pairs() + tail), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(conjugate_pair_st())
+def test_seam_conjugate_equals_full_reduction(pair):
+    g, x = pair
+    expected = reduce_signed(invert(x).letters + g.letters + x.letters)
+    assert conjugate(g, x).letters == expected
+
+
+def test_seam_edge_cases():
+    e = identity(AB)
+    u = w("a b^-1 a a")
+    assert multiply(e, e) == e
+    assert multiply(e, u) == u and multiply(u, e) == u
+    assert multiply(u, invert(u)) == e
+    assert multiply(invert(u), u) == e
+    assert multiply(u, w("a^-1 a^-1 b")) == w("a")
+    assert multiply(u, w("a^-1 b")) == w("a b^-1 a b")
+    assert conjugate(e, u) == e
+    assert conjugate(u, e) == u
+    assert conjugate(u, u) == u
+    assert conjugate(u, invert(u)) == u
+    assert conjugate(w("a"), w("a^-1 b")) == w("b^-1 a b")
 
 
 @settings(max_examples=200, deadline=None)
