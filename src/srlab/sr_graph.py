@@ -143,29 +143,64 @@ def _components(vertices: Iterable[VertexId], adj: dict) -> list[set]:
     return out
 
 
+def _cut_vertices(vertices: Sequence[VertexId], adj: dict) -> tuple:
+    """Cut vertices in `vertices` order, by one iterative depth-first pass
+    (Tarjan, SIAM J. Comput. 1, 1972): a root is a cut vertex when it has two
+    or more DFS children, any other u when some child c has low[c] >= disc[u].
+    """
+    disc: dict = {}
+    low: dict = {}
+    cut: set = set()
+    for root in vertices:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        root_children = 0
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            u, neighbours = stack[-1]
+            for t in neighbours:
+                if t not in disc:
+                    disc[t] = low[t] = len(disc)
+                    stack.append((t, iter(adj[t])))
+                    break
+                # the tree edge back to u's parent lowers low[u] only to
+                # disc[parent], which leaves low[u] >= disc[parent] as it was
+                if disc[t] < low[u]:
+                    low[u] = disc[t]
+            else:
+                stack.pop()
+                if len(stack) > 1:
+                    parent = stack[-1][0]
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    if low[u] >= disc[parent]:
+                        cut.add(parent)
+                elif stack:
+                    root_children += 1
+        if root_children >= 2:
+            cut.add(root)
+    return tuple(v for v in vertices if v in cut)
+
+
 def stats(g: SRGraph) -> GraphStats:
     adj_e = _adjacency(g, "e")
     adj_f = _adjacency(g, "f")
-    adj_u = _adjacency(g, "union")
     comps_e = _components(g.vertices, adj_e)
     comps_f = _components(g.vertices, adj_f)
     i_g = tuple(v for v in g.vertices if not adj_e[v])
     i_h = tuple(v for v in g.vertices if not adj_f[v])
-    c_union = len(_components(g.vertices, adj_u))
-    cut = []
-    for v in g.vertices:
-        rest = [u for u in g.vertices if u != v]
-        adj_rest = {u: [t for t in adj_u[u] if t != v] for u in rest}
-        if len(_components(rest, adj_rest)) > c_union:
-            cut.append(v)
-    return GraphStats(len(comps_e), len(comps_f), i_g, i_h, tuple(cut))
+    cut = _cut_vertices(g.vertices, _adjacency(g, "union"))
+    return GraphStats(len(comps_e), len(comps_f), i_g, i_h, cut)
 
 
 def find_sr_cycle(g: SRGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> SRCycle | None:
     """First SR-cycle in deterministic search order, or None if none exists.
 
     Raises SearchBudgetExceeded when the node-expansion budget runs out,
-    which is reported distinctly from a definite not-found.
+    which is reported distinctly from a definite not-found.  The search keeps
+    its own stack, one neighbour iterator per path vertex, so path length is
+    not limited by the interpreter's recursion depth.
     """
     n = g.n
     if n < 4:
@@ -184,37 +219,30 @@ def find_sr_cycle(g: SRGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> SRCycle | 
             lst.sort()
 
     expansions = 0
-    path: list[int] = []
-
-    def dfs(current: int, anchor: int, on_path: list[bool]) -> bool:
-        nonlocal expansions
-        depth = len(path)  # vertices on path; next edge number = depth (1-based)
-        want = 0 if depth % 2 == 1 else 1  # odd positions are E-edges
-        if want == 1 and depth >= 4 and anchor in adj[1][current]:
-            return True  # closing F-edge back to the anchor
-        for t in adj[want][current]:
-            if t <= anchor or on_path[t]:
-                continue
-            expansions += 1
-            if expansions > budget:
-                raise SearchBudgetExceeded(
-                    f"cycle search exceeded {budget} node expansions"
-                )
-            path.append(t)
-            on_path[t] = True
-            if dfs(t, anchor, on_path):
-                return True
-            on_path[t] = False
-            path.pop()
-        return False
-
+    on_path = [False] * n  # every pushed vertex is popped before the next anchor
     for anchor in range(n):
-        on_path = [False] * n
+        path = [anchor]
         on_path[anchor] = True
-        path.clear()
-        path.append(anchor)
-        if dfs(anchor, anchor, on_path):
-            return SRCycle(tuple(g.vertices[i] for i in path))
+        frames = [iter(adj[0][anchor])]  # the first edge is an E-edge
+        while frames:
+            for t in frames[-1]:
+                if t <= anchor or on_path[t]:
+                    continue
+                expansions += 1
+                if expansions > budget:
+                    raise SearchBudgetExceeded(
+                        f"cycle search exceeded {budget} node expansions"
+                    )
+                path.append(t)
+                on_path[t] = True
+                depth = len(path)  # the next edge is number depth: E if odd
+                if depth % 2 == 0 and depth >= 4 and anchor in adj[1][t]:
+                    return SRCycle(tuple(g.vertices[i] for i in path))  # closing F-edge
+                frames.append(iter(adj[1 - depth % 2][t]))
+                break
+            else:
+                frames.pop()
+                on_path[path.pop()] = False
     return None
 
 

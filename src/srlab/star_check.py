@@ -369,25 +369,37 @@ def find_relation(ops, elements, max_len: int, expansion_budget: int = DEFAULT_E
     budget = _Budget(expansion_budget)
     max_z = max((ops.size(z) for z in elements), default=0)
 
-    def relation_at(limit, prefix, prod):
-        depth = len(prefix)
-        if depth == limit:
-            return prefix if ops.is_identity(prod) else None
-        for j in range(len(elements)):
-            for exp, val in ((1, elements[j]), (-1, inverses[j])):
+    moves = [
+        (j, exp, val)
+        for j in range(len(elements))
+        for exp, val in ((1, elements[j]), (-1, inverses[j]))
+    ]
+    for limit in range(1, max_len + 1):
+        # depth-first over syllable sequences of exactly `limit` syllables,
+        # one move iterator per open prefix
+        prefix: list = []
+        prods = [ops.identity_element()]
+        frames = [iter(moves)]
+        while frames:
+            depth = len(prefix)
+            for j, exp, val in frames[-1]:
                 if prefix and prefix[-1] == (j, -exp):
                     continue
                 budget.spend()
-                nxt = ops.multiply(prod, val)
+                nxt = ops.multiply(prods[-1], val)
                 if ops.size(nxt) > (limit - depth - 1) * max_z:
                     continue
-                found = relation_at(limit, prefix + ((j, exp),), nxt)
-                if found:
-                    return found
-        return None
-
-    for limit in range(1, max_len + 1):
-        relation = relation_at(limit, (), ops.identity_element())
-        if relation is not None:
-            return relation
+                if depth + 1 == limit:
+                    if ops.is_identity(nxt):
+                        return tuple(prefix) + ((j, exp),)
+                    continue
+                prefix.append((j, exp))
+                prods.append(nxt)
+                frames.append(iter(moves))
+                break
+            else:
+                frames.pop()
+                if prefix:
+                    prefix.pop()
+                    prods.pop()
     return None

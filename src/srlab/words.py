@@ -152,8 +152,13 @@ def from_signed(alphabet: Alphabet, letters: Iterable[int]) -> Word:
     return Word(alphabet, _reduce(letters))
 
 
+# longest word parse_word expands, counting each letter of a^n once
+MAX_WORD_LETTERS = 1_000_000
+
+
 def parse_word(alphabet: Alphabet, text: str) -> Word:
-    """Parse "a b^-1 a"; "1" or empty input is the identity."""
+    """Parse "a b^-1 a"; "1" or empty input is the identity.  A word that
+    would expand past MAX_WORD_LETTERS letters is a ParseError."""
     tokens = text.split()
     if tokens == ["1"] or not tokens:
         return identity(alphabet)
@@ -169,6 +174,10 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
             except ValueError:
                 raise ParseError(f"token {col}: bad exponent in {tok!r}") from None
         idx = alphabet.index_of(sym)
+        if len(letters) + abs(power) > MAX_WORD_LETTERS:
+            raise ParseError(
+                f"token {col}: word would expand past {MAX_WORD_LETTERS} letters"
+            )
         step = idx if power > 0 else -idx
         letters.extend([step] * abs(power))
     return Word(alphabet, _reduce(letters))

@@ -154,6 +154,59 @@ def test_missing_file_exit_2(capsys, tmp_path):
     assert "io error" in capsys.readouterr().err
 
 
+def _alternating_path_file(tmp_path, n):
+    path = tmp_path / "path.json"
+    path.write_text(
+        json.dumps(
+            {
+                "vertices": list(range(1, n + 1)),
+                "e_edges": [[i, i + 1] for i in range(1, n, 2)],
+                "f_edges": [[i, i + 1] for i in range(2, n, 2)],
+            }
+        )
+    )
+    return str(path)
+
+
+def test_graph_stats_long_path(capsys, tmp_path):
+    code, payload = run_json(capsys, "graph", "stats", _alternating_path_file(tmp_path, 3000))
+    assert code == 0
+    assert payload["cut_vertices"] == list(range(2, 3000))
+
+
+def test_find_cycle_long_path_subprocess(tmp_path):
+    # a definite negative on a path deeper than the default recursion limit
+    import os
+    import subprocess
+    import sys
+
+    import srlab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "srlab.cli", "graph", "find-cycle", _alternating_path_file(tmp_path, 3000)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["sr_cycle"] is None
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("exc_type", [RuntimeError, RecursionError])
+def test_unexpected_exception_exits_2(capsys, monkeypatch, graph_file, exc_type):
+    def boom(cfg, args):
+        raise exc_type("handler blew up")
+
+    monkeypatch.setattr("srlab.cli.cmd_graph_stats", boom)
+    assert main(["graph", "stats", graph_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {exc_type.__name__}: handler blew up\n"
+
+
 # -- words --------------------------------------------------------------------
 
 
@@ -179,6 +232,11 @@ def test_words_sigma(capsys):
 def test_words_unknown_generator_exit_2(capsys):
     assert main(["words", "reduce", "a c"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_words_oversized_power_exit_2(capsys):
+    assert main(["words", "reduce", "a^1000000000"]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_words_custom_alphabet(capsys):

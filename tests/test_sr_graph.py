@@ -14,6 +14,7 @@ from srlab.errors import (
     SearchBudgetExceeded,
 )
 from srlab.sr_graph import (
+    SRCycle,
     cycle_certificate,
     complete_criterion,
     find_sr_cycle,
@@ -363,3 +364,185 @@ def test_inequality_on_random_instances(seed):
     # the combined component count bound needs complete F-components too;
     # on general graphs only the weaker per-colour bounds hold
     assert 1 <= st_.c_g <= g.n and 1 <= st_.c_h <= g.n
+
+
+# -- linear-time cut vertices and the explicit-stack cycle search ----------------
+
+
+def _brute_cut_vertices(g):
+    # reference: delete each vertex in turn and recount union components
+    from srlab.sr_graph import _adjacency, _components
+
+    adj_u = _adjacency(g, "union")
+    c_union = len(_components(g.vertices, adj_u))
+    cut = []
+    for v in g.vertices:
+        rest = [u for u in g.vertices if u != v]
+        adj_rest = {u: [t for t in adj_u[u] if t != v] for u in rest}
+        if len(_components(rest, adj_rest)) > c_union:
+            cut.append(v)
+    return tuple(cut)
+
+
+def _recursive_find_sr_cycle(g, budget):
+    # reference: the self-recursive search, one interpreter frame per path vertex
+    n = g.n
+    if n < 4:
+        return None
+    idx = g.index()
+    adj = [[[] for _ in range(n)], [[] for _ in range(n)]]
+    for kind, edges in ((0, g.e_edges), (1, g.f_edges)):
+        for u, v in edges:
+            adj[kind][idx[u]].append(idx[v])
+            adj[kind][idx[v]].append(idx[u])
+    for kind in (0, 1):
+        for lst in adj[kind]:
+            lst.sort()
+    expansions = 0
+    path = []
+
+    def dfs(current, anchor, on_path):
+        nonlocal expansions
+        depth = len(path)
+        want = 0 if depth % 2 == 1 else 1
+        if want == 1 and depth >= 4 and anchor in adj[1][current]:
+            return True
+        for t in adj[want][current]:
+            if t <= anchor or on_path[t]:
+                continue
+            expansions += 1
+            if expansions > budget:
+                raise SearchBudgetExceeded(f"cycle search exceeded {budget} node expansions")
+            path.append(t)
+            on_path[t] = True
+            if dfs(t, anchor, on_path):
+                return True
+            on_path[t] = False
+            path.pop()
+        return False
+
+    for anchor in range(n):
+        on_path = [False] * n
+        on_path[anchor] = True
+        path.clear()
+        path.append(anchor)
+        if dfs(anchor, anchor, on_path):
+            return SRCycle(tuple(g.vertices[i] for i in path))
+    return None
+
+
+def _sparse_clique_union(rng, n, f_degree):
+    # cliques of 1-3 vertices for E, about n * f_degree / 2 random F-edges
+    verts = list(range(1, n + 1))
+    pool = verts[:]
+    rng.shuffle(pool)
+    blocks, i = [], 0
+    while i < n:
+        size = rng.randint(1, 3)
+        blocks.append(pool[i : i + size])
+        i += size
+    block_of = {v: b for b, blk in enumerate(blocks) for v in blk}
+    e_edges = [(u, v) for blk in blocks for u, v in itertools.combinations(blk, 2)]
+    f_edges = set()
+    while len(f_edges) < n * f_degree // 2:
+        u, v = rng.sample(verts, 2)
+        if block_of[u] != block_of[v]:
+            f_edges.add((min(u, v), max(u, v)))
+    return validate(verts, e_edges, f_edges)
+
+
+def _alternating_path(n):
+    # 1 -E- 2 -F- 3 -E- 4 ... : every interior vertex is a cut vertex
+    return validate(
+        range(1, n + 1),
+        [(i, i + 1) for i in range(1, n, 2)],
+        [(i, i + 1) for i in range(2, n, 2)],
+    )
+
+
+def _search_outcome(search, g, budget):
+    try:
+        return search(g, budget)
+    except SearchBudgetExceeded as exc:
+        return str(exc)
+
+
+def test_cut_vertices_match_deletion_on_two_clique_family():
+    from srlab.experiments import iter_two_clique_family
+
+    count = 0
+    for g in iter_two_clique_family(7):
+        assert stats(g).cut_vertices == _brute_cut_vertices(g), graph_to_json(g)
+        count += 1
+    assert count == 1591
+
+
+def test_cut_vertices_match_deletion_on_random_and_planted():
+    from srlab.experiments import random_planted_multipartite, random_sr_graph
+
+    rng = random.Random(31)
+    for _ in range(1500):
+        g = random_sr_graph(rng)
+        assert stats(g).cut_vertices == _brute_cut_vertices(g), graph_to_json(g)
+    for _ in range(300):
+        g = random_planted_multipartite(rng)
+        assert stats(g).cut_vertices == _brute_cut_vertices(g), graph_to_json(g)
+
+
+def test_cut_vertices_match_deletion_on_sparse_graphs():
+    rng = random.Random(41)
+    seen_cut = False
+    for n, f_degree in ((200, 1), (400, 2), (600, 3)):
+        g = _sparse_clique_union(rng, n, f_degree)
+        cut = stats(g).cut_vertices
+        assert cut == _brute_cut_vertices(g)
+        seen_cut = seen_cut or bool(cut)
+    assert seen_cut
+
+
+def test_long_alternating_path_stats_and_search():
+    # both passes are deeper than the interpreter's default recursion limit
+    g = _alternating_path(3000)
+    assert stats(g).cut_vertices == tuple(range(2, 3000))
+    cert = cycle_certificate(g)
+    assert cert["sr_cycle"] is None and len(cert["witness"]["cut"]) == 2998
+
+
+def test_cycle_search_leaves_no_garbage():
+    import gc
+
+    g = _sparse_clique_union(random.Random(3), 60, 2)
+    gc.disable()
+    try:
+        gc.collect()
+        find_sr_cycle(g)
+        find_sr_cycle(FOUR_CYCLE)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cycle_search_matches_recursive_reference():
+    from srlab.experiments import random_planted_multipartite, random_sr_graph
+
+    rng = random.Random(53)
+    small_budgets = (2, 3, 5, 8, 13, 30, 100, 1000, 10**7)
+    graphs = [random_sr_graph(rng) for _ in range(1000)]
+    graphs += [random_planted_multipartite(rng) for _ in range(300)]
+    cases = 0
+    for g in graphs:
+        for budget in small_budgets + (rng.randint(2, 300),):
+            expected = _search_outcome(_recursive_find_sr_cycle, g, budget)
+            assert _search_outcome(find_sr_cycle, g, budget) == expected, graph_to_json(g)
+            cases += 1
+    decided = 0
+    for k in range(60):
+        g = _sparse_clique_union(rng, (40, 80, 150, 250)[k % 4], 1 + k % 3)
+        ended = not isinstance(_search_outcome(find_sr_cycle, g, 10**5), str)
+        decided += ended
+        budgets = (2, 10, 100, 1000, 10**4, 10**5, rng.randint(2, 10**4))
+        for budget in budgets + ((10**7,) if ended else ()):
+            expected = _search_outcome(_recursive_find_sr_cycle, g, budget)
+            assert _search_outcome(find_sr_cycle, g, budget) == expected, graph_to_json(g)
+            cases += 1
+    assert decided >= 40 and cases > 13000

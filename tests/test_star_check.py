@@ -14,6 +14,7 @@ from srlab.star_check import (
     ElementSet,
     check_mutually_reduced,
     conjugate_set,
+    find_relation,
     free_generator_certificate,
     star_witness_locally_free,
     symmetric_closure,
@@ -408,3 +409,75 @@ class TestFreeGeneratorCertificate:
 def test_ops_equality_drives_set_equality():
     assert FreeGroupOps(AB) == FreeGroupOps(Alphabet(("a", "b")))
     assert es("a") == ElementSet.from_words([parse_word(Alphabet(("a", "b")), "a")])
+
+
+def _recursive_find_relation(ops, elements, max_len, expansion_budget):
+    # reference: the self-recursive iterative-deepening search
+    elements = list(elements)
+    inverses = [ops.invert(z) for z in elements]
+    left = [expansion_budget]
+    max_z = max((ops.size(z) for z in elements), default=0)
+
+    def relation_at(limit, prefix, prod):
+        depth = len(prefix)
+        if depth == limit:
+            return prefix if ops.is_identity(prod) else None
+        for j in range(len(elements)):
+            for exp, val in ((1, elements[j]), (-1, inverses[j])):
+                if prefix and prefix[-1] == (j, -exp):
+                    continue
+                left[0] -= 1
+                if left[0] < 0:
+                    raise BudgetExceeded(
+                        f"mutual-reduction search exceeded expansion budget {expansion_budget}"
+                    )
+                nxt = ops.multiply(prod, val)
+                if ops.size(nxt) > (limit - depth - 1) * max_z:
+                    continue
+                found = relation_at(limit, prefix + ((j, exp),), nxt)
+                if found:
+                    return found
+        return None
+
+    for limit in range(1, max_len + 1):
+        relation = relation_at(limit, (), ops.identity_element())
+        if relation is not None:
+            return relation
+    return None
+
+
+def _relation_outcome(search, ops, elements, max_len, budget):
+    try:
+        return search(ops, elements, max_len, budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_find_relation_matches_recursive_reference():
+    ops = FreeGroupOps(AB)
+    rng = random.Random(7)
+    letters = ("a", "b", "a^-1", "b^-1")
+    found = 0
+    for _ in range(150):
+        elements = [
+            w(" ".join(rng.choice(letters) for _ in range(rng.randint(0, 3))))
+            for _ in range(rng.randint(1, 3))
+        ]
+        max_len = rng.randint(1, 5)
+        for budget in (1, 5, 40, 300, rng.randint(1, 2000), 10**6):
+            expected = _relation_outcome(_recursive_find_relation, ops, elements, max_len, budget)
+            assert _relation_outcome(find_relation, ops, elements, max_len, budget) == expected
+            found += isinstance(expected, tuple)
+    assert found > 50
+
+
+def test_find_relation_leaves_no_garbage():
+    ops = FreeGroupOps(AB)
+    gc.disable()
+    try:
+        gc.collect()
+        assert find_relation(ops, [w("a b"), w("b a")], 4) is None
+        assert find_relation(ops, [w("a"), w("a a")], 4) == ((0, 1), (0, 1), (1, -1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -62,6 +62,15 @@ class TestParsePrint:
         with pytest.raises(UnknownGenerator):
             parse_word(AB, "q")
 
+    def test_parse_caps_expanded_length(self):
+        cap = words.MAX_WORD_LETTERS
+        assert len(parse_word(AB, f"a^{cap}")) == cap
+        with pytest.raises(ParseError):
+            parse_word(AB, "a^1000000000")
+        # the cap counts letters before free reduction, across tokens
+        with pytest.raises(ParseError):
+            parse_word(AB, f"a^{cap} a^-1")
+
 
 class TestGroupOps:
     def test_multiply_inverse(self):
