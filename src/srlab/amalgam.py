@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .elements import map_basis_coords
+from .elements import map_basis_coords, presentation_json, product_of
 from .errors import (
     AlphabetMismatch,
     AmbientMismatch,
@@ -49,13 +49,9 @@ from .star_check import (
     FreeGenVerdict,
     find_relation,
     free_generator_certificate,
+    quotient_set,
 )
-from .subgroups import (
-    SubgroupAutomaton,
-    conjugate_subgroup,
-    from_generators,
-    intersect,
-)
+from .subgroups import SubgroupAutomaton, displaces, from_generators
 from .words import (
     Alphabet,
     Word,
@@ -150,7 +146,9 @@ class AmalgamPresentation:
 
     @staticmethod
     def from_json(text: str) -> "AmalgamPresentation":
-        data = json.loads(text)
+        data = presentation_json(
+            text, lists=("A", "B"), pairs=("iso",), optional_lists=("H_in_A", "H_in_B")
+        )
         factor_a = Alphabet(tuple(data["A"]))
         factor_b = Alphabet(tuple(data["B"]))
         pairs = [
@@ -398,14 +396,6 @@ def amalgam_element_set(
     return ElementSet.of(ops, [to_amalgam_word(p, x) for x in items])
 
 
-def _power(ops: AmalgamOps, base: AmalgamWord, n: int) -> AmalgamWord:
-    out = ops.identity_element()
-    step = base if n >= 0 else ops.invert(base)
-    for _ in range(abs(n)):
-        out = ops.multiply(out, step)
-    return out
-
-
 # -- displacement condition: a, a_* in A \ H, a a_* != 1, a^-1 H a n H = 1 ------
 
 
@@ -415,10 +405,6 @@ class DaggerWitness:
     a_star: Word
     product_direct_outside: bool  # a a_* outside H
     product_mirrored_outside: bool  # a_* a outside H
-
-
-def _displaces_h(p: AmalgamPresentation, a: Word) -> bool:
-    return intersect(conjugate_subgroup(p.h_in_a, a), p.h_in_a).is_trivial
 
 
 def dagger_check(
@@ -436,7 +422,7 @@ def dagger_check(
     for cand in iter_reduced_words(p.factor_a, search_len):
         if p.h_in_a.contains(cand):
             continue
-        if _displaces_h(p, cand):
+        if displaces(p.h_in_a, cand):
             found_a = cand
             break
     if found_a is None:
@@ -479,7 +465,7 @@ def classify_reduced_form(
         raise AlphabetMismatch("a must be a word over the A factor")
     if b.alphabet.symbols != p.factor_b.symbols:
         raise AlphabetMismatch("b must be a word over the B factor")
-    if p.h_in_a.contains(a) or not _displaces_h(p, a):
+    if p.h_in_a.contains(a) or not displaces(p.h_in_a, a):
         raise PreconditionViolated(
             "a must lie outside H and satisfy a^-1 H a n H = 1"
         )
@@ -493,14 +479,16 @@ def classify_reduced_form(
         )
     ab = amalgam_reduce(p, [(TAG_A, invert(a)), (TAG_B, b)])
     ba = ops.invert(ab)
-    w = ops.multiply(ops.multiply(_power(ops, ab, m), f), _power(ops, ba, m))
+    w = ops.multiply(
+        ops.multiply(product_of(ops, [ab] * m), f), product_of(ops, [ba] * m)
+    )
     middle = ops.multiply(ops.multiply(ba, w), ab)
     if middle.length >= 1 and w.length == middle.length + 4:
         return ReducedFormShape(SANDWICH, w, middle=middle)
     if w.length > 0 and w.length % 2 == 0:
         k = w.length // 2
-        for sign in (1, -1):
-            if _power(ops, ba, sign * k) == w:
+        for sign, step in ((1, ba), (-1, ab)):
+            if product_of(ops, [step] * k) == w:
                 return ReducedFormShape(POWER, w, sign=sign, power=k)
     raise StructureMismatch(
         "reduced form matches neither the sandwich nor the power shape"
@@ -538,7 +526,7 @@ def star_witness_amalgam(
         raise AlphabetMismatch("a and a_* must be words over the A factor")
     if b.alphabet.symbols != p.factor_b.symbols:
         raise AlphabetMismatch("b must be a word over the B factor")
-    if p.h_in_a.contains(a) or not _displaces_h(p, a):
+    if p.h_in_a.contains(a) or not displaces(p.h_in_a, a):
         raise PreconditionViolated(
             "a must lie outside H and satisfy a^-1 H a n H = 1"
         )
@@ -710,14 +698,8 @@ def free_pair_certificate(
         )
         for h in hs
     ]
-    m1 = ElementSet.of(
-        ops,
-        xs + [ops.multiply(ops.invert(x), x2) for x in xs for x2 in xs if x != x2],
-    )
-    m2 = ElementSet.of(
-        ops,
-        ys + [ops.multiply(ops.invert(y), y2) for y in ys for y2 in ys if y != y2],
-    )
+    m1 = quotient_set(ElementSet.of(ops, xs))
+    m2 = quotient_set(ElementSet.of(ops, ys))
     return free_generator_certificate(
         m1, m2, list(zip(xs, ys)), max_len, expansion_budget
     )

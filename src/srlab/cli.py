@@ -11,8 +11,7 @@ definite negative verdict (including bounded searches that come back empty),
 
 Output is UTF-8.  JSON reports have sorted keys and every report records the
 seed, so a fixed command line gives byte-identical output.  File arguments
-accept '-' for stdin.  --threads is accepted for interface stability; the
-current operations run single-threaded.
+accept '-' for stdin.
 """
 
 from __future__ import annotations
@@ -55,10 +54,9 @@ class RunConfig:
     expansion_budget: int = 10_000_000
     rng_seed: int = 0
     output_format: str = "json"
-    threads: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("max_product_len", "search_len", "expansion_budget", "threads"):
+        for name in ("max_product_len", "search_len", "expansion_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.output_format not in ("json", "csv", "text"):
@@ -81,8 +79,9 @@ def _cell(value) -> str:
 
 
 def emit(cfg: RunConfig, report: dict, rows=None, fields=None) -> None:
-    """Print one report: sorted-key JSON, a CSV table (given rows, else the
-    flattened report), or sorted key: value text lines."""
+    """Print one report with the run's seed: sorted-key JSON, a CSV table
+    (given rows, else the flattened report), or sorted key: value text lines."""
+    report = {"seed": cfg.rng_seed, **report}
     if cfg.output_format == "json":
         print(json.dumps(report, sort_keys=True, ensure_ascii=False))
         return
@@ -151,7 +150,10 @@ def _word_list(alphabet: wd.Alphabet, text: str) -> list[wd.Word]:
 
 def _parse_coeff(text: str):
     text = text.strip()
-    return Fraction(text) if "/" in text else int(text)
+    try:
+        return Fraction(text) if "/" in text else int(text)
+    except ZeroDivisionError:
+        raise ParseError(f"coefficient {text!r} has a zero denominator") from None
 
 
 def _ring_text(ops: FreeGroupOps, text: str, char: int) -> rl.RingElement:
@@ -175,7 +177,6 @@ def _ring_text(ops: FreeGroupOps, text: str, char: int) -> rl.RingElement:
 
 def _mutual_report(cfg: RunConfig, verdict: sc.MutualVerdict, ops, extra: dict) -> int:
     report = {
-        "seed": cfg.rng_seed,
         "status": verdict.status,
         "bound": verdict.bound,
         "witness": None
@@ -194,12 +195,11 @@ def cmd_graph_validate(cfg: RunConfig, args) -> int:
     try:
         g = gr.graph_from_json(_read_input(args.graph))
     except (MalformedEdge, DisjointnessViolation, NonCompleteEComponent) as exc:
-        emit(cfg, {"seed": cfg.rng_seed, "valid": False, "reason": str(exc)})
+        emit(cfg, {"valid": False, "reason": str(exc)})
         return 1
     emit(
         cfg,
         {
-            "seed": cfg.rng_seed,
             "valid": True,
             "n": g.n,
             "e_edges": len(g.e_edges),
@@ -215,7 +215,6 @@ def cmd_graph_stats(cfg: RunConfig, args) -> int:
     emit(
         cfg,
         {
-            "seed": cfg.rng_seed,
             "n": g.n,
             "c_g": st.c_g,
             "c_h": st.c_h,
@@ -230,7 +229,7 @@ def cmd_graph_stats(cfg: RunConfig, args) -> int:
 def cmd_graph_find_cycle(cfg: RunConfig, args) -> int:
     g = gr.graph_from_json(_read_input(args.graph))
     cert = gr.cycle_certificate(g, cfg.expansion_budget)
-    emit(cfg, {"seed": cfg.rng_seed, **cert})
+    emit(cfg, cert)
     return 0 if cert["sr_cycle"] else 1
 
 
@@ -238,16 +237,7 @@ def cmd_graph_criterion(cfg: RunConfig, args) -> int:
     g = gr.graph_from_json(_read_input(args.graph))
     holds = gr.complete_criterion(g)
     st = gr.stats(g)
-    emit(
-        cfg,
-        {
-            "seed": cfg.rng_seed,
-            "criterion_holds": holds,
-            "c_g": st.c_g,
-            "c_h": st.c_h,
-            "n": g.n,
-        },
-    )
+    emit(cfg, {"criterion_holds": holds, "c_g": st.c_g, "c_h": st.c_h, "n": g.n})
     return 0 if holds else 1
 
 
@@ -256,7 +246,7 @@ def cmd_graph_criterion(cfg: RunConfig, args) -> int:
 
 def cmd_words_reduce(cfg: RunConfig, args) -> int:
     w = wd.parse_word(_alphabet(args.alphabet), args.word)
-    emit(cfg, {"seed": cfg.rng_seed, "word": str(w), "length": len(w)})
+    emit(cfg, {"word": str(w), "length": len(w)})
     return 0
 
 
@@ -266,7 +256,6 @@ def cmd_words_cyclic(cfg: RunConfig, args) -> int:
     emit(
         cfg,
         {
-            "seed": cfg.rng_seed,
             "core": str(core),
             "conjugator": str(conjugator),
             "core_length": len(core),
@@ -278,7 +267,7 @@ def cmd_words_cyclic(cfg: RunConfig, args) -> int:
 def cmd_words_sigma(cfg: RunConfig, args) -> int:
     w = wd.parse_word(_alphabet(args.alphabet), args.word)
     total = wd.exponent_sum(w, args.generator)
-    emit(cfg, {"seed": cfg.rng_seed, "generator": args.generator, "sum": total})
+    emit(cfg, {"generator": args.generator, "sum": total})
     return 0
 
 
@@ -295,30 +284,16 @@ def cmd_subgroup_member(cfg: RunConfig, args) -> int:
     w = wd.parse_word(alphabet, args.word)
     coords = h.express(w)
     if coords is None:
-        emit(
-            cfg,
-            {
-                "seed": cfg.rng_seed,
-                "member": False,
-                "representative": str(h.coset_representative(w)),
-            },
-        )
+        emit(cfg, {"member": False, "representative": str(h.coset_representative(w))})
         return 1
-    emit(cfg, {"seed": cfg.rng_seed, "member": True, "coordinates": list(coords)})
+    emit(cfg, {"member": True, "coordinates": list(coords)})
     return 0
 
 
 def cmd_subgroup_intersect(cfg: RunConfig, args) -> int:
     alphabet = _alphabet(args.alphabet)
     meet = sg.intersect(_subgroup(alphabet, args.gens), _subgroup(alphabet, args.gens2))
-    emit(
-        cfg,
-        {
-            "seed": cfg.rng_seed,
-            "rank": meet.rank,
-            "basis": [str(w) for w in meet.automaton_basis()],
-        },
-    )
+    emit(cfg, {"rank": meet.rank, "basis": [str(w) for w in meet.automaton_basis()]})
     return 0
 
 
@@ -326,10 +301,7 @@ def cmd_subgroup_coset(cfg: RunConfig, args) -> int:
     alphabet = _alphabet(args.alphabet)
     h = _subgroup(alphabet, args.gens)
     w = wd.parse_word(alphabet, args.word)
-    emit(
-        cfg,
-        {"seed": cfg.rng_seed, "representative": str(h.coset_representative(w))},
-    )
+    emit(cfg, {"representative": str(h.coset_representative(w))})
     return 0
 
 
@@ -339,7 +311,7 @@ def cmd_subgroup_coset(cfg: RunConfig, args) -> int:
 def cmd_star_closure(cfg: RunConfig, args) -> int:
     ops = FreeGroupOps(_alphabet(args.alphabet))
     closed = sc.symmetric_closure(_word_set(ops, args.set))
-    emit(cfg, {"seed": cfg.rng_seed, "elements": [str(w) for w in closed.elements]})
+    emit(cfg, {"elements": [str(w) for w in closed.elements]})
     return 0
 
 
@@ -347,7 +319,7 @@ def cmd_star_conjugate(cfg: RunConfig, args) -> int:
     ops = FreeGroupOps(_alphabet(args.alphabet))
     x = wd.parse_word(ops.alphabet, args.by)
     conj = sc.conjugate_set(_word_set(ops, args.set), x)
-    emit(cfg, {"seed": cfg.rng_seed, "elements": [str(w) for w in conj.elements]})
+    emit(cfg, {"elements": [str(w) for w in conj.elements]})
     return 0
 
 
@@ -380,28 +352,14 @@ def _hnn_presentation(args) -> hn.HnnPresentation:
 def cmd_hnn_reduce(cfg: RunConfig, args) -> int:
     p = _hnn_presentation(args)
     w = hn.britton_reduce(p, hn.parse_hnn_word(p, args.word), cfg.expansion_budget)
-    emit(
-        cfg,
-        {
-            "seed": cfg.rng_seed,
-            "reduced": hn.format_hnn_word(p, w),
-            "t_length": w.t_length,
-        },
-    )
+    emit(cfg, {"reduced": hn.format_hnn_word(p, w), "t_length": w.t_length})
     return 0
 
 
 def cmd_hnn_normal(cfg: RunConfig, args) -> int:
     p = _hnn_presentation(args)
     w = hn.normal_form(p, hn.parse_hnn_word(p, args.word), cfg.expansion_budget)
-    emit(
-        cfg,
-        {
-            "seed": cfg.rng_seed,
-            "normal_form": hn.format_hnn_word(p, w),
-            "t_length": w.t_length,
-        },
-    )
+    emit(cfg, {"normal_form": hn.format_hnn_word(p, w), "t_length": w.t_length})
     return 0
 
 
@@ -409,14 +367,7 @@ def cmd_hnn_identity(cfg: RunConfig, args) -> int:
     p = _hnn_presentation(args)
     w = hn.britton_reduce(p, hn.parse_hnn_word(p, args.word), cfg.expansion_budget)
     is_id = w.is_base and w.g0.is_identity
-    emit(
-        cfg,
-        {
-            "seed": cfg.rng_seed,
-            "identity": is_id,
-            "reduced": hn.format_hnn_word(p, w),
-        },
-    )
+    emit(cfg, {"identity": is_id, "reduced": hn.format_hnn_word(p, w)})
     return 0 if is_id else 1
 
 
@@ -427,7 +378,6 @@ def cmd_hnn_hypotheses(cfg: RunConfig, args) -> int:
     emit(
         cfg,
         {
-            "seed": cfg.rng_seed,
             "displacing": None if g is None else str(g),
             "outside": None if outside is None else str(outside),
             "search_len": cfg.search_len,
@@ -484,7 +434,6 @@ def cmd_amalgam_reduce(cfg: RunConfig, args) -> int:
     emit(
         cfg,
         {
-            "seed": cfg.rng_seed,
             "reduced": am.format_amalgam_word(w),
             "length": w.length,
             "type": am.type_of(w),
@@ -496,7 +445,7 @@ def cmd_amalgam_reduce(cfg: RunConfig, args) -> int:
 def cmd_amalgam_type(cfg: RunConfig, args) -> int:
     p = _amalgam_presentation(args)
     w = am.parse_amalgam_word(p, args.word)
-    emit(cfg, {"seed": cfg.rng_seed, "type": am.type_of(w), "length": w.length})
+    emit(cfg, {"type": am.type_of(w), "length": w.length})
     return 0
 
 
@@ -506,7 +455,6 @@ def cmd_amalgam_dagger(cfg: RunConfig, args) -> int:
     emit(
         cfg,
         {
-            "seed": cfg.rng_seed,
             "a": str(witness.a),
             "a_star": str(witness.a_star),
             "direct_outside": witness.product_direct_outside,
@@ -531,10 +479,9 @@ def cmd_amalgam_lemma45(cfg: RunConfig, args) -> int:
     try:
         shape = am.classify_reduced_form(p, a, b, m, f)
     except StructureMismatch as exc:
-        emit(cfg, {"seed": cfg.rng_seed, "shape": None, "reason": str(exc)})
+        emit(cfg, {"shape": None, "reason": str(exc)})
         return 1
     report = {
-        "seed": cfg.rng_seed,
         "shape": shape.kind,
         "word": am.format_amalgam_word(shape.word),
         "length": shape.word.length,
@@ -586,7 +533,6 @@ def cmd_amalgam_free_gens(cfg: RunConfig, args) -> int:
     emit(
         cfg,
         {
-            "seed": cfg.rng_seed,
             "kind": args.kind,
             "generators": [am.format_amalgam_word(g) for g in gens],
             "relation": None if relation is None else [list(t) for t in relation],
@@ -609,16 +555,15 @@ def cmd_ring_epsilon(cfg: RunConfig, args) -> int:
     if args.witnesses is not None:
         witnesses = _word_list(ops.alphabet, args.witnesses)
     else:
-        support = sc.ElementSet.of(ops, list(phi.support))
+        support = sc.ElementSet.of(ops, phi.support)
         symbols = ops.alphabet.symbols
         witnesses = sc.star_witness_locally_free(
-            rl.remark_closure(support), symbols[0], symbols[1]
+            sc.symmetric_closure(sc.quotient_set(support)), symbols[0], symbols[1]
         )
     eps, eps1 = rl.epsilon(siblings, witnesses, phi)
     emit(
         cfg,
         {
-            "seed": cfg.rng_seed,
             "support_eps": len(eps.support),
             "support_eps1": len(eps1.support),
             "eps_terms": rl.ring_terms(eps),
@@ -635,7 +580,7 @@ def cmd_ring_lemma32(cfg: RunConfig, args) -> int:
     table = rl.right_translation_table(
         ops, s1, s2, s3, translators, cfg.max_product_len, cfg.expansion_budget
     )
-    report = {"seed": cfg.rng_seed, **rl.table_report(table, len(translators))}
+    report = rl.table_report(table, len(translators))
     emit(cfg, report)
     return 0 if report["holds"] else 1
 
@@ -658,7 +603,7 @@ def cmd_ring_lemma33(cfg: RunConfig, args) -> int:
         ops, s_list, x_list, cfg.max_product_len, cfg.expansion_budget
     )
     threshold = sum(len(s) for s in s_list)
-    report = {"seed": cfg.rng_seed, **rl.table_report(table, threshold)}
+    report = rl.table_report(table, threshold)
     emit(cfg, report)
     return 0 if report["holds"] else 1
 
@@ -685,7 +630,6 @@ def cmd_ring_support_bound(cfg: RunConfig, args) -> int:
         max_product_len=cfg.max_product_len,
         expansion_budget=cfg.expansion_budget,
     )
-    report = {"seed": cfg.rng_seed, **report}
     row = rl.support_csv_row(report)
     emit(cfg, report, rows=[row], fields=list(rl.SUPPORT_CSV_FIELDS))
     return 0 if report["holds"] else 1
@@ -730,12 +674,6 @@ def _common_options() -> argparse.ArgumentParser:
         choices=("json", "csv", "text"),
         default="json",
         help="report format on stdout",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface stability; operations run single-threaded",
     )
     return common
 
@@ -968,7 +906,6 @@ def main(argv=None) -> int:
             expansion_budget=args.expansion_budget,
             rng_seed=args.seed,
             output_format=args.output_format,
-            threads=args.threads,
         )
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,9 +17,11 @@ Requirements on an ops object:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Hashable, Protocol
 
+from .errors import ParseError
 from .words import Alphabet, Word, identity, invert, multiply
 
 
@@ -81,3 +83,31 @@ def map_basis_coords(
         w = basis[abs(e) - 1]
         out = multiply(out, w if e > 0 else invert(w))
     return out
+
+
+def presentation_json(
+    text: str, strings=(), lists=(), pairs=(), optional_lists=()
+) -> dict:
+    """The JSON object of an extension presentation, its shape checked: keys
+    in strings hold a string, keys in lists a list of words, keys in pairs a
+    list of [word, word] pairs, keys in optional_lists a list of words or
+    null or nothing.  A missing key or a wrong shape is a ParseError."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ParseError("presentation JSON must be an object")
+    is_words = lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v)
+    checks = (
+        (strings, "a string", lambda v: isinstance(v, str)),
+        (lists, "a list of words", is_words),
+        (optional_lists, "a list of words or null", lambda v: v is None or is_words(v)),
+        (
+            pairs,
+            "a list of [word, word] pairs",
+            lambda v: isinstance(v, list) and all(is_words(p) and len(p) == 2 for p in v),
+        ),
+    )
+    for keys, shape, ok in checks:
+        for key in keys:
+            if not ok(data.get(key)):
+                raise ParseError(f"presentation key {key!r} must hold {shape}")
+    return data

@@ -42,6 +42,7 @@ from .hnn import (
     HnnWord,
     find_word_outside,
     hnn_element_set,
+    hnn_word_from_signed,
     is_identity,
     star_witness_hnn,
     star_witness_hypotheses,
@@ -50,7 +51,6 @@ from .ring_lab import (
     SUPPORT_CSV_FIELDS,
     RingElement,
     left_translation_table,
-    quotient_set,
     right_translation_table,
     ring_element,
     standard_free_family,
@@ -70,6 +70,7 @@ from .star_check import (
     ElementSet,
     check_mutually_reduced,
     conjugate_set,
+    quotient_set,
     star_witness_locally_free,
 )
 from .words import (
@@ -409,25 +410,6 @@ def witness_sweep_report(
 # -- stable-letter extensions ------------------------------------------------------
 
 
-def hnn_word_from_signed(p: HnnPresentation, seq: Sequence[int]) -> HnnWord:
-    """Split a signed sequence over base-plus-stable letters at the stable
-    letter WITHOUT reducing across it; base chunks reduce freely, which is
-    sound because each chunk is a base group element."""
-    t_index = len(p.alphabet) + 1
-    chunks: list[list[int]] = [[]]
-    signs: list[int] = []
-    for letter in seq:
-        if abs(letter) == t_index:
-            signs.append(1 if letter > 0 else -1)
-            chunks.append([])
-        else:
-            chunks[-1].append(letter)
-    return HnnWord(
-        from_signed(p.alphabet, chunks[0]),
-        tuple((s, from_signed(p.alphabet, c)) for s, c in zip(signs, chunks[1:])),
-    )
-
-
 def degenerate_oracle_report(max_len: int = 8) -> dict:
     """Trivial associated subgroups turn the extension into a free product,
     so pinch-based identity testing must agree with plain free reduction over
@@ -711,15 +693,7 @@ def conjugated_triples(
     triple built from its quotient closure; the copies are the right-table
     row sets."""
     wits = star_witness_locally_free(quotient_set(members), "a", "b")
-    ops = members.ops
-    sets = [
-        ElementSet.of(
-            ops,
-            [ops.multiply(ops.multiply(ops.invert(x), f), x) for f in members.elements],
-        )
-        for x in wits
-    ]
-    return sets, wits
+    return [conjugate_set(members, x) for x in wits], wits
 
 
 def random_right_instance(

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
-from .elements import GroupOps, map_basis_coords
+from .elements import map_basis_coords, presentation_json
 from .errors import (
     AlphabetMismatch,
     AmbientMismatch,
@@ -37,12 +37,7 @@ from .errors import (
     StructureMismatch,
 )
 from .star_check import DEFAULT_EXPANSION_BUDGET, ElementSet
-from .subgroups import (
-    SubgroupAutomaton,
-    conjugate_subgroup,
-    from_generators,
-    intersect,
-)
+from .subgroups import SubgroupAutomaton, displaces, from_generators
 from .words import (
     Alphabet,
     Word,
@@ -128,7 +123,10 @@ class HnnPresentation:
 
     @staticmethod
     def from_json(text: str) -> "HnnPresentation":
-        data = json.loads(text)
+        data = presentation_json(
+            text, strings=("stable",), lists=("base",), pairs=("phi",),
+            optional_lists=("A", "B"),
+        )
         alphabet = Alphabet(tuple(data["base"]))
         pairs = [
             (parse_word(alphabet, a), parse_word(alphabet, b)) for a, b in data["phi"]
@@ -187,21 +185,26 @@ def structure_word(p: HnnPresentation, w: Word) -> HnnWord:
     """Split a word over base+stable into syllable form at the stable letter."""
     if w.alphabet.symbols != p.full_alphabet.symbols:
         raise AlphabetMismatch("word alphabet differs from the extended alphabet")
+    return hnn_word_from_signed(p, w.letters)
+
+
+def hnn_word_from_signed(p: HnnPresentation, seq: Sequence[int]) -> HnnWord:
+    """Split a signed sequence over base-plus-stable letters at the stable
+    letter WITHOUT reducing across it; base chunks reduce freely, which is
+    sound because each chunk is a base group element."""
     t_index = len(p.alphabet) + 1
     chunks: list[list[int]] = [[]]
     signs: list[int] = []
-    for letter in w.letters:
+    for letter in seq:
         if abs(letter) == t_index:
             signs.append(1 if letter > 0 else -1)
             chunks.append([])
         else:
             chunks[-1].append(letter)
-    g0 = from_signed(p.alphabet, chunks[0])
-    sylls = tuple(
-        (sign, from_signed(p.alphabet, chunk))
-        for sign, chunk in zip(signs, chunks[1:])
+    return HnnWord(
+        from_signed(p.alphabet, chunks[0]),
+        tuple((s, from_signed(p.alphabet, c)) for s, c in zip(signs, chunks[1:])),
     )
-    return HnnWord(g0, sylls)
 
 
 def parse_hnn_word(p: HnnPresentation, text: str) -> HnnWord:
@@ -448,10 +451,6 @@ def is_ascending(p: HnnPresentation) -> bool:
     )
 
 
-def _displaces(p: HnnPresentation, sub: SubgroupAutomaton, g: Word) -> bool:
-    return intersect(conjugate_subgroup(sub, g), sub).is_trivial
-
-
 def star_witness_hypotheses(
     p: HnnPresentation, search_len: int = DEFAULT_SEARCH_LEN
 ) -> Word | None:
@@ -470,7 +469,7 @@ def star_witness_hypotheses(
         for g in iter_reduced_words(p.alphabet, search_len):
             if p.in_associated(g):
                 continue
-            if _displaces(p, sub, g):
+            if displaces(sub, g):
                 return g
     return None
 
@@ -498,7 +497,7 @@ def star_witness_hnn(
                 f"{name} lies in an associated subgroup; the seam argument needs "
                 f"{name} outside A u B"
             )
-    if not _displaces(p, p.a_sub, g):
+    if not displaces(p.a_sub, g):
         raise PreconditionViolated(
             "g^-1 A g n A is nontrivial; pass a g certified for the A side"
         )

@@ -36,7 +36,9 @@ from .star_check import (
     DEFAULT_EXPANSION_BUDGET,
     ElementSet,
     check_mutually_reduced,
+    quotient_set,
     star_witness_locally_free,
+    symmetric_closure,
 )
 from .words import Word, conjugate, generator, power
 
@@ -266,20 +268,6 @@ def _as_element_set(ops: GroupOps, items, what: str) -> ElementSet:
         raise PreconditionViolated(f"{what}: {exc}") from None
 
 
-def quotient_set(s: ElementSet) -> ElementSet:
-    """{f, f^-1 f' | f, f' in s, f != f'}: the set whose mutual-reduction
-    behaviour controls product isolation for s."""
-    ops = s.ops
-    members = list(s.elements)
-    out = list(members)
-    for f in members:
-        f_inv = ops.invert(f)
-        for g in members:
-            if f != g:
-                out.append(ops.multiply(f_inv, g))
-    return ElementSet.of(ops, out)
-
-
 def right_translation_table(
     ops: GroupOps,
     s1,
@@ -372,6 +360,15 @@ def table_report(table: PairTable, threshold: int) -> dict:
 # -- the epsilon construction ----------------------------------------------------
 
 
+def _ring_conjugate(phi: RingElement, x) -> RingElement:
+    """x^-1 * phi * x."""
+    ops = phi.ops
+    return ring_mul(
+        ring_mul(monomial(ops, ops.invert(x), 1, phi.char), phi),
+        monomial(ops, x, 1, phi.char),
+    )
+
+
 def epsilon(b_s: Sequence, x_bt: Sequence, phi_b: RingElement) -> tuple[RingElement, RingElement]:
     """eps = sum over s,t of b_s * x_t^-1 * phi * x_t, and eps + 1.
 
@@ -385,14 +382,11 @@ def epsilon(b_s: Sequence, x_bt: Sequence, phi_b: RingElement) -> tuple[RingElem
         raise PreconditionViolated("need three distinct sibling elements")
     if len(witnesses) != 3 or len(set(witnesses)) != 3:
         raise PreconditionViolated("need three distinct witness elements")
+    conjugates = [_ring_conjugate(phi_b, x) for x in witnesses]
     eps = ring_zero(ops, phi_b.char)
     for b in siblings:
         left = monomial(ops, b, 1, phi_b.char)
-        for x in witnesses:
-            conj = ring_mul(
-                ring_mul(monomial(ops, ops.invert(x), 1, phi_b.char), phi_b),
-                monomial(ops, x, 1, phi_b.char),
-            )
+        for conj in conjugates:
             eps = ring_add(eps, ring_mul(left, conj))
     one = monomial(ops, ops.identity_element(), 1, phi_b.char)
     return eps, ring_add(eps, one)
@@ -410,19 +404,6 @@ def standard_free_family(ops: FreeGroupOps, count: int, start: int = 1) -> list[
     gx = generator(ops.alphabet, symbols[0])
     gy = generator(ops.alphabet, symbols[1])
     return [conjugate(gy, power(gx, -j)) for j in range(start, start + count)]
-
-
-def remark_closure(s: ElementSet) -> ElementSet:
-    """Members with their inverses and all quotients f^-1 g adjoined; the set
-    the witness construction must conjugate apart."""
-    ops = s.ops
-    out = list(s.elements) + [ops.invert(f) for f in s.elements]
-    for f in s.elements:
-        f_inv = ops.invert(f)
-        for g in s.elements:
-            if f != g:
-                out.append(ops.multiply(f_inv, g))
-    return ElementSet.of(ops, out)
 
 
 def support_bound_experiment(
@@ -482,7 +463,7 @@ def support_bound_experiment(
         symbols = ops.alphabet.symbols
         witnesses = [
             star_witness_locally_free(
-                remark_closure(ElementSet.of(ops, list(phi.support))),
+                symmetric_closure(quotient_set(ElementSet.of(ops, phi.support))),
                 symbols[0],
                 symbols[1],
             )
@@ -502,13 +483,7 @@ def support_bound_experiment(
         sibs = [canonical_form(ops, s) for s in sibs]
         wits = [canonical_form(ops, x) for x in wits]
         eps, eps1 = epsilon(sibs, wits, phi)
-        conj_parts = [
-            ring_mul(
-                ring_mul(monomial(ops, ops.invert(x), 1, char), phi),
-                monomial(ops, x, 1, char),
-            )
-            for x in wits
-        ]
+        conj_parts = [_ring_conjugate(phi, x) for x in wits]
         inner = right_translation_table(
             ops,
             conj_parts[0].support,

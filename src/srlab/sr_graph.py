@@ -24,6 +24,7 @@ from .errors import (
     MalformedEdge,
     NonCompleteEComponent,
     NotMultipartite,
+    ParseError,
     SearchBudgetExceeded,
 )
 
@@ -268,8 +269,8 @@ def complete_criterion(g: SRGraph) -> bool:
     """Component-count criterion, valid when both colour classes have complete
     components and the union graph is connected: a cycle exists iff
     c_g + c_h < |V| + 1."""
-    adj_f = _adjacency(g, "f")
-    for comp in _components(g.vertices, adj_f):
+    comps_f = _components(g.vertices, _adjacency(g, "f"))
+    for comp in comps_f:
         comp_sorted = sorted(comp, key=_vkey)
         for i, u in enumerate(comp_sorted):
             for v in comp_sorted[i + 1 :]:
@@ -280,8 +281,8 @@ def complete_criterion(g: SRGraph) -> bool:
     adj_u = _adjacency(g, "union")
     if len(_components(g.vertices, adj_u)) != 1:
         raise HypothesisViolation("union graph is not connected")
-    st = stats(g)
-    return st.c_g + st.c_h < g.n + 1
+    c_g = len(_components(g.vertices, _adjacency(g, "e")))
+    return c_g + len(comps_f) < g.n + 1
 
 
 def is_complete_multipartite(
@@ -349,9 +350,33 @@ def graph_to_json(g: SRGraph) -> str:
     )
 
 
+def _json_vertex(v, where: str):
+    if isinstance(v, (list, dict)):
+        raise ParseError(f"{where}: vertex id {v!r} must be a number or a string")
+    return v
+
+
 def graph_from_json(text: str) -> SRGraph:
+    """Parse {"vertices": [...], "e_edges": [[u, v], ...], "f_edges": [...]};
+    a missing key or a value of the wrong shape is a ParseError."""
     data = json.loads(text)
-    return validate(data["vertices"], data["e_edges"], data["f_edges"])
+    if not isinstance(data, dict):
+        raise ParseError("graph JSON must be an object")
+    for key in ("vertices", "e_edges", "f_edges"):
+        if not isinstance(data.get(key), list):
+            raise ParseError(f"graph JSON needs a list under {key!r}")
+
+    def edges(key):
+        for pair in data[key]:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(f"{key}: {pair!r} is not a pair of vertex ids")
+            yield tuple(_json_vertex(v, key) for v in pair)
+
+    # parse everything before validating, so a malformed file never reads as
+    # an invalid graph
+    vertices = [_json_vertex(v, "vertices") for v in data["vertices"]]
+    e_edges, f_edges = list(edges("e_edges")), list(edges("f_edges"))
+    return validate(vertices, e_edges, f_edges)
 
 
 def cycle_certificate(g: SRGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> dict:

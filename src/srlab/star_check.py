@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 from .elements import FreeGroupOps, GroupOps, product_of
 from .errors import AlphabetMismatch, BudgetExceeded, EmptySet, StructureMismatch
-from .words import Word, generator, invert, multiply, power
+from .words import Word, generator, multiply, power
 
 HOLDS = "HoldsUpToBound"
 COUNTEREXAMPLE = "Counterexample"
@@ -117,6 +117,20 @@ def symmetric_closure(m: ElementSet) -> ElementSet:
     """The set together with all inverses of its members."""
     inverses = [m.ops.invert(g) for g in m.elements]
     return ElementSet.of(m.ops, list(m.elements) + inverses)
+
+
+def quotient_set(s: ElementSet) -> ElementSet:
+    """{f, f^-1 f' | f, f' in s, f != f'}: the members with every quotient
+    adjoined, the set whose mutual-reduction behaviour controls product
+    isolation for s."""
+    ops = s.ops
+    out = list(s.elements)
+    for f in s.elements:
+        f_inv = ops.invert(f)
+        for g in s.elements:
+            if f != g:
+                out.append(ops.multiply(f_inv, g))
+    return ElementSet.of(ops, out)
 
 
 def conjugate_set(m: ElementSet, x) -> ElementSet:
@@ -312,16 +326,6 @@ class FreeGenVerdict:
     mutual: MutualVerdict
 
 
-def _expected_remark_set(ops: GroupOps, members) -> frozenset:
-    expected = set(members)
-    for g in members:
-        ginv = ops.invert(g)
-        for h in members:
-            if g != h:
-                expected.add(ops.multiply(ginv, h))
-    return frozenset(expected)
-
-
 def free_generator_certificate(
     m1: ElementSet,
     m2: ElementSet,
@@ -344,10 +348,13 @@ def free_generator_certificate(
     ys = [p[1] for p in pairing]
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise StructureMismatch("paired elements must be distinct")
-    if m1.members != _expected_remark_set(ops, xs):
-        raise StructureMismatch("first set is not {x_i} with quotients adjoined")
-    if m2.members != _expected_remark_set(ops, ys):
-        raise StructureMismatch("second set is not {y_i} with quotients adjoined")
+    sides = ((m1, xs, "first set is not {x_i}"), (m2, ys, "second set is not {y_i}"))
+    for given, members, which in sides:
+        # an ElementSet never holds the identity, so a pairing with one fails
+        if any(ops.is_identity(g) for g in members) or (
+            given.members != quotient_set(ElementSet.of(ops, members)).members
+        ):
+            raise StructureMismatch(which + " with quotients adjoined")
     zs = [ops.multiply(x, ops.invert(y)) for x, y in zip(xs, ys)]
     relation = find_relation(ops, zs, max_len, expansion_budget)
     mutual = check_mutually_reduced([m1, m2], max_len, expansion_budget)

@@ -431,6 +431,11 @@ def conjugate_subgroup(h: SubgroupAutomaton, g: Word) -> SubgroupAutomaton:
     return SubgroupAutomaton.from_generators(h.alphabet, gens)
 
 
+def displaces(h: SubgroupAutomaton, g: Word) -> bool:
+    """True when g conjugates h off itself: g^-1 H g n H = 1."""
+    return intersect(conjugate_subgroup(h, g), h).is_trivial
+
+
 def subgroup_equal(h1: SubgroupAutomaton, h2: SubgroupAutomaton) -> bool:
     """Exact accepted-set equality via mutual basis membership."""
     return all(h2.contains(b) for b in h1.automaton_basis()) and all(

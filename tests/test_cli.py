@@ -591,13 +591,41 @@ def test_seed_recorded_and_bytes_identical(capsys):
     assert first == second
 
 
-def test_threads_flag_accepted(capsys, graph_file):
-    code, payload = run_json(
-        capsys, "graph", "find-cycle", graph_file, "--threads", "4"
-    )
-    assert code == 0 and payload["sr_cycle"] == [1, 2, 3, 4]
-
-
 def test_experiment_batch_rejects_bad_scale(capsys):
     with pytest.raises(SystemExit):
         main(["experiment", "batch", "--scale", "huge"])
+
+
+HNN_NO_PHI = json.dumps({"base": ["a", "b"], "stable": "t", "A": ["a"], "B": ["b"]})
+AMALGAM_NO_ISO = json.dumps({"A": ["a"], "B": ["b"], "H_in_A": [], "H_in_B": []})
+
+
+@pytest.mark.parametrize(
+    "leaf, text, extra",
+    [
+        (["graph", "stats"], json.dumps({"vertices": [1, 2]}), []),
+        (["graph", "stats"], "[1, 2]", []),
+        (
+            ["graph", "stats"],
+            json.dumps({"vertices": [[1]], "e_edges": [], "f_edges": []}),
+            [],
+        ),
+        (["hnn", "reduce"], HNN_NO_PHI, ["a t"]),
+        (["amalgam", "dagger"], AMALGAM_NO_ISO, []),
+        (["ring", "epsilon"], None, ["--phi", "1/0*b"]),
+    ],
+    ids=["graph-missing-key", "graph-not-object", "graph-list-vertex",
+         "hnn-missing-phi", "amalgam-missing-iso", "ring-zero-denominator"],
+)
+def test_malformed_input_is_a_parse_error(capsys, tmp_path, leaf, text, extra):
+    argv = list(leaf)
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv.append(str(path))
+    code = main(argv + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "parse error" in captured.err
+    assert "internal error" not in captured.err

@@ -9,13 +9,19 @@ from fractions import Fraction
 
 import pytest
 
+from srlab.amalgam import AmalgamOps
 from srlab.elements import FreeGroupOps
 from srlab.errors import (
     AmbientMismatch,
     HypothesisUnverified,
     PreconditionViolated,
 )
-from srlab.hnn import HnnOps, HnnPresentation, parse_hnn_word
+from srlab.experiments import (
+    fixed_amalgam_presentations,
+    iter_bounded_amalgam_elements,
+    random_rank_one_presentation,
+)
+from srlab.hnn import HnnOps, HnnPresentation, hnn_element_set, parse_hnn_word
 from srlab.ring_lab import (
     PairTable,
     epsilon,
@@ -41,7 +47,7 @@ from srlab.ring_lab import (
     support_csv_row,
     table_report,
 )
-from srlab.star_check import ElementSet, star_witness_locally_free
+from srlab.star_check import ElementSet, star_witness_locally_free, symmetric_closure
 from srlab.words import Alphabet, identity, invert, iter_reduced_words, multiply, parse_word
 
 AB = Alphabet(("a", "b"))
@@ -178,6 +184,39 @@ def test_quotient_set_contents():
     s = ElementSet.of(OPS, words("a", "b"))
     q = quotient_set(s)
     assert set(q.elements) == set(words("a", "b", "a^-1 b", "b^-1 a"))
+
+
+def _remark_closure(s):
+    """The closure the witness construction once built by hand: members,
+    their inverses and every quotient f^-1 g."""
+    ops = s.ops
+    out = list(s.elements) + [ops.invert(f) for f in s.elements]
+    for f in s.elements:
+        f_inv = ops.invert(f)
+        for g in s.elements:
+            if f != g:
+                out.append(ops.multiply(f_inv, g))
+    return ElementSet.of(ops, out)
+
+
+def _closure_cases():
+    rng = random.Random(4)
+    pool = list(iter_reduced_words(AB, 3))[1:]
+    for size in (1, 2, 3, 4) * 3:
+        yield ElementSet.of(OPS, rng.sample(pool, size))
+    for _ in range(6):
+        p = random_rank_one_presentation(rng)
+        items = ("a", "a h", "h a^-1", "t", "t^-1 a t", "a t h")
+        yield hnn_element_set(p, rng.sample(items, rng.randint(1, 3)))
+    for p in fixed_amalgam_presentations():
+        elements = list(iter_bounded_amalgam_elements(p, 2, 1))
+        for size in (1, 2, 3):
+            yield ElementSet.of(AmalgamOps(p), rng.sample(elements, size))
+
+
+def test_closed_quotient_set_is_the_remark_closure():
+    for s in _closure_cases():
+        assert symmetric_closure(quotient_set(s)) == _remark_closure(s)
 
 
 def witness_conjugates(base_texts):
@@ -336,6 +375,34 @@ def test_epsilon_prime_field():
     eps, eps1 = epsilon(fam, wits, monomial(OPS, w("b"), 3, char=5))
     assert all(c == 3 for _, c in eps.terms)
     assert eps1.char == 5
+
+
+def _double_loop_epsilon(b_s, x_bt, phi):
+    """The sibling-by-witness loop epsilon was first written as: conjugate
+    phi afresh for every (sibling, witness) pair."""
+    ops, char = phi.ops, phi.char
+    eps = ring_zero(ops, char)
+    for b in b_s:
+        left = monomial(ops, b, 1, char)
+        for x in x_bt:
+            conj = ring_mul(
+                ring_mul(monomial(ops, ops.invert(x), 1, char), phi),
+                monomial(ops, x, 1, char),
+            )
+            eps = ring_add(eps, ring_mul(left, conj))
+    return eps, ring_add(eps, monomial(ops, ops.identity_element(), 1, char))
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_epsilon_matches_double_loop(char):
+    rng = random.Random(char)
+    pool = list(iter_reduced_words(AB, 2))
+    fam = standard_free_family(OPS, 3)
+    for terms in (1, 2, 3) * 4:
+        members = rng.sample(pool, terms)
+        phi = ring_element(OPS, [(g, rng.choice((1, -1, 2, 3))) for g in members], char)
+        _, wits = witness_conjugates([str(g) for g in members])
+        assert epsilon(fam, wits, phi) == _double_loop_epsilon(fam, wits, phi)
 
 
 # -- support-bound experiment -----------------------------------------------------

@@ -406,6 +406,19 @@ class TestFreeGeneratorCertificate:
             )
 
 
+    def test_identity_in_a_pair_is_a_structure_mismatch(self):
+        x1, y1 = w("a b"), w("b")
+        one = identity(AB)
+        with pytest.raises(StructureMismatch, match="first set"):
+            free_generator_certificate(
+                _remark_set([x1]), _remark_set([y1]), [(x1, y1), (one, w("b b"))], 4
+            )
+        with pytest.raises(StructureMismatch, match="second set"):
+            free_generator_certificate(
+                _remark_set([x1]), _remark_set([y1]), [(x1, one)], 4
+            )
+
+
 def test_ops_equality_drives_set_equality():
     assert FreeGroupOps(AB) == FreeGroupOps(Alphabet(("a", "b")))
     assert es("a") == ElementSet.from_words([parse_word(Alphabet(("a", "b")), "a")])
