@@ -16,6 +16,17 @@ identification, and the last syllable absorbs the remnant; H-elements are
 stored as words over the A factor.  Two elements are equal iff their
 canonical forms are identical.
 
+A product u*v of canonical elements is computed from the seam
+(Lyndon-Schupp, ch. IV).  The syllables of v are merged onto those of u
+until the H-part is trivial and the next syllable of v starts a new factor;
+the rest of v is appended as it is.  Canonical form is then restored from
+the deepest syllable the merge reached, and never from further right than
+the last syllable of u, up to the first untouched syllable of v that
+receives a trivial H-part.  Every syllable outside that stretch is a
+canonical left-coset representative that passes no H-part to its right, or
+the last syllable, so the result equals the full reduction of the
+concatenation.
+
 Beyond arithmetic, the module decides the displacement condition used by the
 paperless free-subgroup machinery: B != H together with a, a_* in A \\ H such
 that a a_* != 1 and a^-1 H a n H = 1.  From such a pair it classifies the
@@ -252,9 +263,28 @@ def amalgam_reduce(
     part, so the output is the alternating normal form with canonical
     left-coset representatives everywhere but the last syllable.
     """
-    stack: list[tuple[str, Word]] = []
+    return _reduce_onto(p, [], raw, False)
+
+
+def _reduce_onto(
+    p: AmalgamPresentation,
+    stack: list[tuple[str, Word]],
+    raw: Iterable[tuple[str, Word]],
+    raw_is_canonical: bool,
+) -> AmalgamWord:
+    """Merge raw onto stack, the syllables of a canonical element (or none),
+    and canonicalize from the deepest syllable the merge touched; the
+    stack's last syllable is never taken as canonical.  When raw is the
+    syllable tuple of a canonical element, the part of it that cannot merge
+    is appended untouched and canonicalization may stop inside it."""
+    low = max(len(stack) - 1, 0)  # first stack index that may change
+    settled = None  # stack index from which raw's syllables lie untouched
     pending = identity(p.factor_a)  # H-element waiting to be pushed right
-    for tag, w in raw:
+    for j, (tag, w) in enumerate(raw):
+        if raw_is_canonical and not pending and (not stack or stack[-1][0] != tag):
+            settled = len(stack)
+            stack.extend(raw[j:])
+            break
         if tag not in (TAG_A, TAG_B):
             raise ValueError(f"syllable tag must be 'A' or 'B', got {tag!r}")
         alphabet = p.alphabet_of(tag)
@@ -262,10 +292,11 @@ def amalgam_reduce(
             raise AlphabetMismatch(
                 f"word over {w.alphabet.symbols} tagged {tag} does not fit that factor"
             )
-        u = multiply(_h_into(p, pending, tag), w)
+        u = multiply(_h_into(p, pending, tag), w) if pending else w
         pending = identity(p.factor_a)
         if stack and stack[-1][0] == tag:
             u = multiply(stack.pop()[1], u)
+            low = min(low, len(stack))
         if p.subgroup_of(tag).contains(u):
             pending = _h_out_of(p, u, tag)
         else:
@@ -275,7 +306,11 @@ def amalgam_reduce(
     if not pending.is_identity:
         tag, w = stack[-1]
         stack[-1] = (tag, multiply(w, _h_into(p, pending, tag)))
-    return AmalgamWord(tuple(_canonicalize(p, stack)), identity(p.factor_a))
+    settled = len(stack) if settled is None else settled
+    return AmalgamWord(
+        (*stack[:low], *_canonicalize(p, stack[low:], settled - low)),
+        identity(p.factor_a),
+    )
 
 
 def _h_into(p: AmalgamPresentation, h_word: Word, tag: str) -> Word:
@@ -291,20 +326,22 @@ def _h_out_of(p: AmalgamPresentation, member: Word, tag: str) -> Word:
     return p.to_a_side(member)
 
 
-def _left_rep(sub: SubgroupAutomaton, w: Word) -> Word:
-    # shortlex representative of the LEFT coset wH, via the inverse right coset
-    return invert(sub.coset_representative(invert(w)))
-
-
 def _canonicalize(
-    p: AmalgamPresentation, sylls: list[tuple[str, Word]]
+    p: AmalgamPresentation, sylls: list[tuple[str, Word]], settled: int
 ) -> list[tuple[str, Word]]:
+    """Canonical left-coset representatives with the H-part carried right;
+    from index settled on the syllables are already canonical, so a trivial
+    carry there leaves the rest as it is."""
     out: list[tuple[str, Word]] = []
     carry = identity(p.factor_a)
     for idx, (tag, u) in enumerate(sylls):
-        u = multiply(_h_into(p, carry, tag), u)
+        if idx >= settled and not carry:
+            out.extend(sylls[idx:])
+            break
+        if carry:
+            u = multiply(_h_into(p, carry, tag), u)
         if idx < len(sylls) - 1:
-            rep = _left_rep(p.subgroup_of(tag), u)
+            rep = p.subgroup_of(tag).left_coset_representative(u)
             carry = _h_out_of(p, multiply(invert(rep), u), tag)
             out.append((tag, rep))
         else:
@@ -346,6 +383,12 @@ def format_amalgam_word(w: AmalgamWord) -> str:
 class AmalgamOps:
     """Group operations on canonical amalgam elements.
 
+    multiply(u, v) works from the seam: it requires u and v to be in
+    canonical form (as every element this module returns is) and keeps the
+    syllables away from the junction as they are.  An H-element u has no
+    syllables to keep, so u*v is then the full reduction of the
+    concatenation, and v may be any element.
+
     size is the syllable length, or 1 for a nontrivial H-element; it is
     subadditive, inversion-invariant, and zero exactly on the identity.
     """
@@ -353,7 +396,11 @@ class AmalgamOps:
     presentation: AmalgamPresentation
 
     def multiply(self, u: AmalgamWord, v: AmalgamWord) -> AmalgamWord:
-        return amalgam_reduce(self.presentation, raw_syllables(u) + raw_syllables(v))
+        p = self.presentation
+        if not u.syllables:
+            return amalgam_reduce(p, raw_syllables(u) + raw_syllables(v))
+        # an H-element v is a single A-part that must merge, not a syllable
+        return _reduce_onto(p, list(u.syllables), raw_syllables(v), bool(v.syllables))
 
     def invert(self, u: AmalgamWord) -> AmalgamWord:
         if not u.syllables:

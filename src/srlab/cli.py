@@ -235,10 +235,12 @@ def cmd_graph_find_cycle(cfg: RunConfig, args) -> int:
 
 def cmd_graph_criterion(cfg: RunConfig, args) -> int:
     g = gr.graph_from_json(_read_input(args.graph))
-    holds = gr.complete_criterion(g)
-    st = gr.stats(g)
-    emit(cfg, {"criterion_holds": holds, "c_g": st.c_g, "c_h": st.c_h, "n": g.n})
-    return 0 if holds else 1
+    counts = gr.criterion_counts(g)
+    emit(
+        cfg,
+        {"criterion_holds": counts.holds, "c_g": counts.c_g, "c_h": counts.c_h, "n": g.n},
+    )
+    return 0 if counts.holds else 1
 
 
 # -- words -------------------------------------------------------------------------

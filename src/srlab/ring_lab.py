@@ -375,6 +375,14 @@ def epsilon(b_s: Sequence, x_bt: Sequence, phi_b: RingElement) -> tuple[RingElem
     b_s and x_bt are triples of distinct group elements; with witnesses that
     make the conjugated quotient sets mutually reduced, all nine products of
     a single-term phi stay distinct, so the support has size exactly 9."""
+    eps, eps1, _ = _epsilon_parts(b_s, x_bt, phi_b)
+    return eps, eps1
+
+
+def _epsilon_parts(
+    b_s: Sequence, x_bt: Sequence, phi_b: RingElement
+) -> tuple[RingElement, RingElement, list[RingElement]]:
+    """eps, eps + 1 and the three conjugates x_t^-1 * phi * x_t they sum."""
     ops = phi_b.ops
     siblings = [canonical_form(ops, b) for b in b_s]
     witnesses = [canonical_form(ops, x) for x in x_bt]
@@ -389,7 +397,7 @@ def epsilon(b_s: Sequence, x_bt: Sequence, phi_b: RingElement) -> tuple[RingElem
         for conj in conjugates:
             eps = ring_add(eps, ring_mul(left, conj))
     one = monomial(ops, ops.identity_element(), 1, phi_b.char)
-    return eps, ring_add(eps, one)
+    return eps, ring_add(eps, one), conjugates
 
 
 # -- support-bound experiment ------------------------------------------------------
@@ -482,8 +490,7 @@ def support_bound_experiment(
     for (b, phi, u), sibs, wits in zip(active, siblings, witnesses):
         sibs = [canonical_form(ops, s) for s in sibs]
         wits = [canonical_form(ops, x) for x in wits]
-        eps, eps1 = epsilon(sibs, wits, phi)
-        conj_parts = [_ring_conjugate(phi, x) for x in wits]
+        eps, eps1, conj_parts = _epsilon_parts(sibs, wits, phi)
         inner = right_translation_table(
             ops,
             conj_parts[0].support,

@@ -265,10 +265,23 @@ def verify_cycle(g: SRGraph, cycle: SRCycle) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class CriterionCounts:
+    c_g: int
+    c_h: int
+    holds: bool
+
+
 def complete_criterion(g: SRGraph) -> bool:
     """Component-count criterion, valid when both colour classes have complete
     components and the union graph is connected: a cycle exists iff
     c_g + c_h < |V| + 1."""
+    return criterion_counts(g).holds
+
+
+def criterion_counts(g: SRGraph) -> CriterionCounts:
+    """The E- and F-component counts behind complete_criterion, with its
+    verdict; raises HypothesisViolation when its hypotheses fail."""
     comps_f = _components(g.vertices, _adjacency(g, "f"))
     for comp in comps_f:
         comp_sorted = sorted(comp, key=_vkey)
@@ -282,7 +295,8 @@ def complete_criterion(g: SRGraph) -> bool:
     if len(_components(g.vertices, adj_u)) != 1:
         raise HypothesisViolation("union graph is not connected")
     c_g = len(_components(g.vertices, _adjacency(g, "e")))
-    return c_g + len(comps_f) < g.n + 1
+    c_h = len(comps_f)
+    return CriterionCounts(c_g, c_h, c_g + c_h < g.n + 1)
 
 
 def is_complete_multipartite(

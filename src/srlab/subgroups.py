@@ -10,6 +10,12 @@ Membership, intersection (product automaton), conjugation, shortlex coset
 representatives, and expression of members in a user-supplied independent
 basis are provided; the last is what lets HNN/amalgam isomorphisms be
 applied to arbitrary subgroup members.
+
+Expression and both coset representatives are pure functions of a word's
+letters, and a presentation applies them to the same words again and again,
+so each automaton memoizes them.  A memo is emptied when it reaches
+MEMO_CAP entries, which bounds the memory of an automaton that outlives many
+computations.
 """
 
 from __future__ import annotations
@@ -30,6 +36,18 @@ from .words import (
 )
 
 _EXPRESSION_BFS_BUDGET = 200_000
+
+# entries a memo of one automaton holds before it is emptied
+MEMO_CAP = 4096
+
+_MISSING = object()
+
+
+def _remember(memo: dict, key, value):
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _fold(
@@ -266,30 +284,60 @@ class SubgroupAutomaton:
             out.append(Word(self.alphabet, reduce_signed(letters)))
         return tuple(out)
 
+    def _memo(self, name: str) -> dict:
+        memo = self._cache.get(name)
+        if memo is None:
+            memo = self._cache[name] = {}
+        return memo
+
     def coset_representative(self, w: Word) -> Word:
         """Shortlex-least element of the right coset H*w; identity for H."""
+        memo = self._memo("coset_representative")
+        rep = memo.get(w.letters)
+        if rep is not None:
+            return rep
         state, prefix_len = self.trace(w)
         paths, _ = self._tree()
         remainder = w.letters[prefix_len:]
-        return Word(self.alphabet, paths[state] + remainder)
+        return _remember(memo, w.letters, Word(self.alphabet, paths[state] + remainder))
+
+    def left_coset_representative(self, w: Word) -> Word:
+        """Shortlex-least element of the inverse of the right coset H*w^-1,
+        the canonical representative of the left coset w*H."""
+        memo = self._memo("left_coset_representative")
+        rep = memo.get(w.letters)
+        if rep is not None:
+            return rep
+        return _remember(memo, w.letters, invert(self.coset_representative(invert(w))))
 
     # -- expression in bases ------------------------------------------------
+
+    def _edge_labels(self) -> list[dict[int, int]]:
+        """Per state, letter -> signed 1-based automaton-basis index of the
+        non-tree edge it follows (negative when followed backwards)."""
+        if "edge_labels" in self._cache:
+            return self._cache["edge_labels"]
+        _, non_tree = self._tree()
+        labels: list[dict[int, int]] = [dict() for _ in self.delta]
+        for i, (u, letter, v) in enumerate(non_tree):
+            labels[u][letter] = i + 1
+            labels[v][-letter] = -(i + 1)
+        self._cache["edge_labels"] = labels
+        return labels
 
     def express_automaton(self, w: Word) -> tuple[int, ...] | None:
         """w as a reduced word over the automaton basis (signed 1-based
         indices into automaton_basis()), or None if w is not a member."""
-        _, non_tree = self._tree()
-        index = {edge: i + 1 for i, edge in enumerate(non_tree)}
+        labels = self._edge_labels()
         state = 0
         out: list[int] = []
         for letter in w.letters:
             nxt = self.delta[state].get(letter)
             if nxt is None:
                 return None
-            edge = self._canonical_edge(state, letter, nxt)
-            e = index.get(edge)
+            e = labels[state].get(letter)
             if e is not None:
-                out.append(e if letter > 0 else -e)
+                out.append(e)
             state = nxt
         if state != 0:
             return None
@@ -318,9 +366,13 @@ class SubgroupAutomaton:
         """w as a reduced word over the user basis (signed 1-based indices),
         or None if w is not a member.  Raises RedundantBasis if the stored
         basis is not independent."""
+        memo = self._memo("express")
+        coords = memo.get(w.letters, _MISSING)
+        if coords is not _MISSING:
+            return coords
         auto_expr = self.express_automaton(w)
         if auto_expr is None:
-            return None
+            return _remember(memo, w.letters, None)
         translation = self._user_translation()
         out: list[int] = []
         for e in auto_expr:
@@ -328,7 +380,7 @@ class SubgroupAutomaton:
             if e < 0:
                 piece = tuple(-x for x in reversed(piece))
             out.extend(piece)
-        return reduce_signed(out)
+        return _remember(memo, w.letters, reduce_signed(out))
 
     # -- serialization ------------------------------------------------------
 

@@ -111,6 +111,10 @@ class Word:
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
+    def __hash__(self) -> int:
+        # equal words have equal letters, so the alphabet need not be hashed
+        return hash(self.letters)
+
 
 def _check_same_alphabet(*words: Word) -> Alphabet:
     alphabet = words[0].alphabet

@@ -38,8 +38,9 @@ from srlab.errors import (
     StructureMismatch,
     VariantMismatch,
 )
+from srlab.experiments import fixed_amalgam_presentations, iter_bounded_amalgam_elements
 from srlab.star_check import ElementSet, check_mutually_reduced, conjugate_set
-from srlab.words import Alphabet, invert, iter_reduced_words, parse_word
+from srlab.words import Alphabet, identity, invert, iter_reduced_words, multiply, parse_word
 
 
 def pres(a_symbols, b_symbols, a_texts, b_texts):
@@ -284,6 +285,95 @@ def test_length_additivity_at_factor_boundaries(p_hk):
         else:
             assert w.length <= u.length + v.length - 1
     assert exact > 10
+
+
+def _full_reduce(p, raw):
+    """amalgam_reduce as first written, the reference for the seam-only
+    product: merge the whole concatenation from an empty stack, then put
+    every syllable but the last in canonical form with the carry pushed
+    right."""
+
+    def into(h_word, tag):
+        return h_word if tag == "A" else p.to_b_side(h_word)
+
+    def out_of(member, tag):
+        return member if tag == "A" else p.to_a_side(member)
+
+    stack = []
+    pending = identity(p.factor_a)
+    for tag, w in raw:
+        u = multiply(into(pending, tag), w)
+        pending = identity(p.factor_a)
+        if stack and stack[-1][0] == tag:
+            u = multiply(stack.pop()[1], u)
+        if p.subgroup_of(tag).contains(u):
+            pending = out_of(u, tag)
+        else:
+            stack.append((tag, u))
+    if not stack:
+        return AmalgamWord((), pending)
+    if not pending.is_identity:
+        tag, w = stack[-1]
+        stack[-1] = (tag, multiply(w, into(pending, tag)))
+    out = []
+    carry = identity(p.factor_a)
+    for idx, (tag, u) in enumerate(stack):
+        u = multiply(into(carry, tag), u)
+        if idx < len(stack) - 1:
+            rep = invert(p.subgroup_of(tag).coset_representative(invert(u)))
+            carry = out_of(multiply(invert(rep), u), tag)
+            out.append((tag, rep))
+        else:
+            out.append((tag, u))
+    return AmalgamWord(tuple(out), identity(p.factor_a))
+
+
+def _seam_cases(p, rng):
+    """(u, v) pairs over p: pool elements, long conjugators from
+    star_witness_amalgam and their inverses, u * u^-1, pairs that cancel
+    deeply at the seam, and identity and H-element left operands."""
+    ops = AmalgamOps(p)
+    pool = list(iter_bounded_amalgam_elements(p, 3, 1))
+    elements = rng.sample(pool, min(len(pool), 40))
+    for _ in range(4):
+        m = ElementSet.of(ops, rng.sample(pool, rng.randint(1, 2)))
+        xs = star_witness_amalgam(p, m)
+        elements += [*xs, *(ops.invert(x) for x in xs)]
+        elements += [ops.multiply(ops.multiply(ops.invert(x), f), x) for x in xs for f in m.elements]
+    h_members = [AmalgamWord((), h) for h in p.h_in_a.iter_members(3)]
+    for u in elements:
+        yield u, ops.invert(u)
+        for v in rng.sample(elements, 6):
+            yield u, v
+            # u w and w^-1 v cancel through the whole of w at the seam
+            w = rng.choice(elements)
+            yield ops.multiply(u, w), ops.multiply(ops.invert(w), v)
+        yield ops.identity_element(), u
+        for h in h_members[:3]:
+            yield h, u
+            yield u, h
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_seam_product_equals_full_reduction(index):
+    p = fixed_amalgam_presentations()[index]
+    ops = AmalgamOps(p)
+    cases = 0
+    for u, v in _seam_cases(p, random.Random(index)):
+        assert ops.multiply(u, v) == _full_reduce(p, raw_syllables(u) + raw_syllables(v))
+        cases += 1
+    assert cases > 1000
+
+
+def test_seam_product_keeps_the_untouched_prefix(p_hk):
+    # when v does not cancel the last syllable of u, the syllables before it
+    # are kept as they are
+    ops = AmalgamOps(p_hk)
+    u = aw(p_hk, "A: a | B: b | A: a h | B: b")
+    for text in ("A: a", "A: h", "B: k b", "B: b^-1 k b"):
+        product = ops.multiply(u, aw(p_hk, text))
+        assert product.syllables[:3] == u.syllables[:3]
+        assert product == _full_reduce(p_hk, raw_syllables(u) + raw_syllables(aw(p_hk, text)))
 
 
 def test_element_set_deduplicates_identified_elements(p_hk):

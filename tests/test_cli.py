@@ -142,6 +142,18 @@ def test_graph_stdin_dash(capsys, monkeypatch):
     assert code == 0 and payload["criterion_holds"]
 
 
+def test_graph_criterion_reports_counts_without_stats(capsys, graph_file, monkeypatch):
+    import srlab.sr_graph
+
+    def no_stats(g):
+        raise AssertionError("criterion must not recompute the graph stats")
+
+    monkeypatch.setattr(srlab.sr_graph, "stats", no_stats)
+    code, payload = run_json(capsys, "graph", "criterion", graph_file)
+    assert code == 0
+    assert payload == {"c_g": 2, "c_h": 2, "criterion_holds": True, "n": 4, "seed": 0}
+
+
 def test_graph_malformed_json_exit_2(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json")

@@ -20,6 +20,7 @@ from srlab.experiments import (
     fixed_amalgam_presentations,
     iter_bounded_amalgam_elements,
     random_rank_one_presentation,
+    random_support_family,
 )
 from srlab.hnn import HnnOps, HnnPresentation, hnn_element_set, parse_hnn_word
 from srlab.ring_lab import (
@@ -457,6 +458,24 @@ def test_experiment_prime_field():
              monomial(OPS, identity(AB), 1, char=3))]
     report = support_bound_experiment(inst)
     assert report["holds"] and report["char"] == 3
+
+
+def test_experiment_conjugates_phi_once_per_witness(monkeypatch):
+    import srlab.ring_lab as rl
+
+    calls = []
+    original = rl._ring_conjugate
+
+    def counted(phi, x):
+        calls.append(x)
+        return original(phi, x)
+
+    monkeypatch.setattr(rl, "_ring_conjugate", counted)
+    for seed in range(6):
+        instances = random_support_family(random.Random(seed))
+        calls.clear()
+        report = support_bound_experiment(instances, max_product_len=3)
+        assert len(calls) == 3 * report["instance_count"]
 
 
 def test_experiment_deterministic_report():

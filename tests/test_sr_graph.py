@@ -17,6 +17,7 @@ from srlab.sr_graph import (
     SRCycle,
     cycle_certificate,
     complete_criterion,
+    criterion_counts,
     find_sr_cycle,
     graph_from_json,
     graph_to_json,
@@ -138,6 +139,17 @@ class TestCompleteCriterion:
         g = validate([1, 2, 3, 4], [(1, 2)], [(3, 4)])
         with pytest.raises(HypothesisViolation):
             complete_criterion(g)
+
+    def test_counts_match_stats(self):
+        from srlab.experiments import iter_two_clique_family
+
+        graphs = [FOUR_CYCLE, validate([1, 2, 3], [(1, 2)], [(2, 3)])]
+        graphs += list(iter_two_clique_family(5))
+        for g in graphs:
+            counts = criterion_counts(g)
+            st = stats(g)
+            assert (counts.c_g, counts.c_h) == (st.c_g, st.c_h)
+            assert counts.holds is complete_criterion(g)
 
 
 class TestCompleteMultipartite:

@@ -216,6 +216,67 @@ class TestExpression:
             assert out == u
 
 
+class TestMemos:
+    GENERATOR_SETS = [
+        (),
+        ("a^2", "b a"),
+        ("a b", "b"),
+        ("a b a^-1",),
+        ("a^2", "b^2", "a b a^-1 b"),
+        ("b a^-1 b^-1", "a b a"),
+    ]
+
+    def test_memoized_maps_match_fresh_automaton(self):
+        words = list(iter_reduced_words(AB, 4, include_identity=True))
+        for gens in self.GENERATOR_SETS:
+            h = sub(*gens)
+            for _ in range(2):  # fill the memos, then read from them
+                for u in words:
+                    h.express(u)
+                    h.coset_representative(u)
+                    h.left_coset_representative(u)
+            fresh = sub(*gens)
+            basis = fresh.automaton_basis()
+            for u in words:
+                assert h.express(u) == fresh.express(u)
+                assert h.coset_representative(u) == fresh.coset_representative(u)
+                assert h.left_coset_representative(u) == invert(
+                    fresh.coset_representative(invert(u))
+                )
+                expr = fresh.express_automaton(u)
+                assert (expr is None) == (not fresh.contains(u))
+                if expr is not None:
+                    out = identity(AB)
+                    for e in expr:
+                        piece = basis[abs(e) - 1]
+                        out = multiply(out, piece if e > 0 else invert(piece))
+                    assert out == u
+
+    def test_redundant_basis_raises_on_every_call(self):
+        h = sub("a^2", "a^3")
+        for _ in range(2):
+            assert h.express(w("b")) is None
+            with pytest.raises(RedundantBasis):
+                h.express(w("a"))
+
+    @pytest.mark.parametrize(
+        "method", ["express", "coset_representative", "left_coset_representative"]
+    )
+    def test_memo_is_emptied_at_its_cap(self, monkeypatch, method):
+        import srlab.subgroups
+
+        monkeypatch.setattr(srlab.subgroups, "MEMO_CAP", 5)
+        h = sub("a^2", "b a")
+        fresh = sub("a^2", "b a")
+        words = list(iter_reduced_words(AB, 2, include_identity=True))
+        for i, u in enumerate(words):
+            assert getattr(h, method)(u) == getattr(fresh, method)(u)
+            assert len(h._cache[method]) == i % 5 + 1
+        for u in words:
+            assert getattr(h, method)(u) == getattr(fresh, method)(u)
+            assert len(h._cache[method]) <= 5
+
+
 class TestSerialization:
     def test_round_trip(self):
         h = sub("a b", "b a")

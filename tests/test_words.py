@@ -220,6 +220,17 @@ def test_exponent_sum_homomorphism(u, v):
         )
 
 
+def test_equal_letters_over_different_alphabets_are_distinct_keys():
+    xy = Alphabet(("x", "y"))
+    u, v = w("a b^-1"), parse_word(xy, "x y^-1")
+    assert u.letters == v.letters and u != v
+    table = {u: "ab", v: "xy"}
+    assert len(table) == 2
+    assert table[w("a b^-1")] == "ab" and table[parse_word(xy, "x y^-1")] == "xy"
+    same = parse_word(Alphabet(("a", "b")), "a b^-1")  # an equal alphabet object
+    assert same == u and hash(same) == hash(u) and table[same] == "ab"
+
+
 def test_shortlex_order():
     ordering = sorted(
         [w("b"), w("a"), w("a^-1"), w("a a"), identity(AB)], key=shortlex_key
