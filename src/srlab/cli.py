@@ -12,6 +12,9 @@ definite negative verdict (including bounded searches that come back empty),
 Output is UTF-8.  JSON reports have sorted keys and every report records the
 seed, so a fixed command line gives byte-identical output.  File arguments
 accept '-' for stdin.
+
+Each handler imports the library module it calls, so a command loads only
+the layers it uses.
 """
 
 from __future__ import annotations
@@ -22,15 +25,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import amalgam as am
-from . import experiments as ex
-from . import hnn as hn
-from . import ring_lab as rl
-from . import sr_graph as gr
-from . import star_check as sc
-from . import subgroups as sg
 from . import words as wd
 from .elements import FreeGroupOps
 from .errors import (
@@ -41,7 +36,10 @@ from .errors import (
     NotFoundAtBound,
     ParseError,
     SrlabError,
+    StructureMismatch,
 )
+
+FORMATS = ("json", "csv", "text")
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ class RunConfig:
         for name in ("max_product_len", "search_len", "expansion_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.output_format not in ("json", "csv", "text"):
+        if self.output_format not in FORMATS:
             raise ValueError(
                 f"output_format must be json, csv, or text, got {self.output_format!r}"
             )
@@ -139,7 +137,8 @@ def _brace_members(text: str) -> list[str]:
     return members
 
 
-def _word_set(ops: FreeGroupOps, text: str) -> sc.ElementSet:
+def _word_set(ops: FreeGroupOps, text: str):
+    from . import star_check as sc
     members = [wd.parse_word(ops.alphabet, m) for m in _brace_members(text)]
     return sc.ElementSet.of(ops, members)
 
@@ -149,16 +148,20 @@ def _word_list(alphabet: wd.Alphabet, text: str) -> list[wd.Word]:
 
 
 def _parse_coeff(text: str):
+    from fractions import Fraction
     text = text.strip()
     try:
         return Fraction(text) if "/" in text else int(text)
     except ZeroDivisionError:
         raise ParseError(f"coefficient {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ParseError(f"coefficient {text!r} is not an integer or p/q") from None
 
 
-def _ring_text(ops: FreeGroupOps, text: str, char: int) -> rl.RingElement:
+def _ring_text(ops: FreeGroupOps, text: str, char: int):
     """Comma-separated terms, each 'word' or 'coeff*word'; '1' is the
     identity, coefficients integer or p/q."""
+    from . import ring_lab as rl
     pairs = []
     for term in text.split(","):
         term = term.strip()
@@ -175,7 +178,7 @@ def _ring_text(ops: FreeGroupOps, text: str, char: int) -> rl.RingElement:
     return rl.ring_element(ops, pairs, char)
 
 
-def _mutual_report(cfg: RunConfig, verdict: sc.MutualVerdict, ops, extra: dict) -> int:
+def _mutual_report(cfg: RunConfig, verdict, ops, extra: dict) -> int:
     report = {
         "status": verdict.status,
         "bound": verdict.bound,
@@ -188,10 +191,20 @@ def _mutual_report(cfg: RunConfig, verdict: sc.MutualVerdict, ops, extra: dict) 
     return 0 if verdict.holds else 1
 
 
+def _witness_report(cfg: RunConfig, m, xs) -> int:
+    """Check the conjugates of m by the witness triple xs for mutual
+    reduction at the run's product bound, and report the verdict."""
+    from . import star_check as sc
+    fams = [sc.conjugate_set(m, x) for x in xs]
+    verdict = sc.check_mutually_reduced(fams, cfg.max_product_len, cfg.expansion_budget)
+    return _mutual_report(cfg, verdict, m.ops, {"witnesses": [m.ops.fmt(x) for x in xs]})
+
+
 # -- graph -------------------------------------------------------------------------
 
 
 def cmd_graph_validate(cfg: RunConfig, args) -> int:
+    from . import sr_graph as gr
     try:
         g = gr.graph_from_json(_read_input(args.graph))
     except (MalformedEdge, DisjointnessViolation, NonCompleteEComponent) as exc:
@@ -210,6 +223,7 @@ def cmd_graph_validate(cfg: RunConfig, args) -> int:
 
 
 def cmd_graph_stats(cfg: RunConfig, args) -> int:
+    from . import sr_graph as gr
     g = gr.graph_from_json(_read_input(args.graph))
     st = gr.stats(g)
     emit(
@@ -227,6 +241,7 @@ def cmd_graph_stats(cfg: RunConfig, args) -> int:
 
 
 def cmd_graph_find_cycle(cfg: RunConfig, args) -> int:
+    from . import sr_graph as gr
     g = gr.graph_from_json(_read_input(args.graph))
     cert = gr.cycle_certificate(g, cfg.expansion_budget)
     emit(cfg, cert)
@@ -234,6 +249,7 @@ def cmd_graph_find_cycle(cfg: RunConfig, args) -> int:
 
 
 def cmd_graph_criterion(cfg: RunConfig, args) -> int:
+    from . import sr_graph as gr
     g = gr.graph_from_json(_read_input(args.graph))
     counts = gr.criterion_counts(g)
     emit(
@@ -276,7 +292,8 @@ def cmd_words_sigma(cfg: RunConfig, args) -> int:
 # -- subgroup ----------------------------------------------------------------------
 
 
-def _subgroup(alphabet: wd.Alphabet, gens_text: str) -> sg.SubgroupAutomaton:
+def _subgroup(alphabet: wd.Alphabet, gens_text: str):
+    from . import subgroups as sg
     return sg.from_generators(alphabet, _word_list(alphabet, gens_text))
 
 
@@ -293,6 +310,7 @@ def cmd_subgroup_member(cfg: RunConfig, args) -> int:
 
 
 def cmd_subgroup_intersect(cfg: RunConfig, args) -> int:
+    from . import subgroups as sg
     alphabet = _alphabet(args.alphabet)
     meet = sg.intersect(_subgroup(alphabet, args.gens), _subgroup(alphabet, args.gens2))
     emit(cfg, {"rank": meet.rank, "basis": [str(w) for w in meet.automaton_basis()]})
@@ -311,6 +329,7 @@ def cmd_subgroup_coset(cfg: RunConfig, args) -> int:
 
 
 def cmd_star_closure(cfg: RunConfig, args) -> int:
+    from . import star_check as sc
     ops = FreeGroupOps(_alphabet(args.alphabet))
     closed = sc.symmetric_closure(_word_set(ops, args.set))
     emit(cfg, {"elements": [str(w) for w in closed.elements]})
@@ -318,6 +337,7 @@ def cmd_star_closure(cfg: RunConfig, args) -> int:
 
 
 def cmd_star_conjugate(cfg: RunConfig, args) -> int:
+    from . import star_check as sc
     ops = FreeGroupOps(_alphabet(args.alphabet))
     x = wd.parse_word(ops.alphabet, args.by)
     conj = sc.conjugate_set(_word_set(ops, args.set), x)
@@ -326,6 +346,7 @@ def cmd_star_conjugate(cfg: RunConfig, args) -> int:
 
 
 def cmd_star_check(cfg: RunConfig, args) -> int:
+    from . import star_check as sc
     ops = FreeGroupOps(_alphabet(args.alphabet))
     sets = [_word_set(ops, part) for part in _split_semicolons(args.sets)]
     bound = args.max_len if args.max_len is not None else cfg.max_product_len
@@ -334,39 +355,33 @@ def cmd_star_check(cfg: RunConfig, args) -> int:
 
 
 def cmd_star_witness_free(cfg: RunConfig, args) -> int:
-    ops = FreeGroupOps(_alphabet(args.alphabet))
-    m = _word_set(ops, args.set)
-    xs = sc.star_witness_locally_free(m, args.x, args.y)
-    fams = [sc.conjugate_set(m, x) for x in xs]
-    verdict = sc.check_mutually_reduced(fams, cfg.max_product_len, cfg.expansion_budget)
-    return _mutual_report(
-        cfg, verdict, ops, {"witnesses": [str(x) for x in xs]}
-    )
+    from . import star_check as sc
+    m = _word_set(FreeGroupOps(_alphabet(args.alphabet)), args.set)
+    return _witness_report(cfg, m, sc.star_witness_locally_free(m, args.x, args.y))
 
 
 # -- hnn ---------------------------------------------------------------------------
 
 
-def _hnn_presentation(args) -> hn.HnnPresentation:
-    return hn.HnnPresentation.from_json(_read_input(args.presentation))
-
-
 def cmd_hnn_reduce(cfg: RunConfig, args) -> int:
-    p = _hnn_presentation(args)
+    from . import hnn as hn
+    p = hn.HnnPresentation.from_json(_read_input(args.presentation))
     w = hn.britton_reduce(p, hn.parse_hnn_word(p, args.word), cfg.expansion_budget)
     emit(cfg, {"reduced": hn.format_hnn_word(p, w), "t_length": w.t_length})
     return 0
 
 
 def cmd_hnn_normal(cfg: RunConfig, args) -> int:
-    p = _hnn_presentation(args)
+    from . import hnn as hn
+    p = hn.HnnPresentation.from_json(_read_input(args.presentation))
     w = hn.normal_form(p, hn.parse_hnn_word(p, args.word), cfg.expansion_budget)
     emit(cfg, {"normal_form": hn.format_hnn_word(p, w), "t_length": w.t_length})
     return 0
 
 
 def cmd_hnn_identity(cfg: RunConfig, args) -> int:
-    p = _hnn_presentation(args)
+    from . import hnn as hn
+    p = hn.HnnPresentation.from_json(_read_input(args.presentation))
     w = hn.britton_reduce(p, hn.parse_hnn_word(p, args.word), cfg.expansion_budget)
     is_id = w.is_base and w.g0.is_identity
     emit(cfg, {"identity": is_id, "reduced": hn.format_hnn_word(p, w)})
@@ -374,7 +389,8 @@ def cmd_hnn_identity(cfg: RunConfig, args) -> int:
 
 
 def cmd_hnn_hypotheses(cfg: RunConfig, args) -> int:
-    p = _hnn_presentation(args)
+    from . import hnn as hn
+    p = hn.HnnPresentation.from_json(_read_input(args.presentation))
     g = hn.star_witness_hypotheses(p, cfg.search_len)
     outside = hn.find_word_outside(p, cfg.search_len)
     emit(
@@ -389,7 +405,8 @@ def cmd_hnn_hypotheses(cfg: RunConfig, args) -> int:
 
 
 def cmd_hnn_witness(cfg: RunConfig, args) -> int:
-    p = _hnn_presentation(args)
+    from . import hnn as hn
+    p = hn.HnnPresentation.from_json(_read_input(args.presentation))
     if args.g is not None:
         g = wd.parse_word(p.alphabet, args.g)
     else:
@@ -412,26 +429,15 @@ def cmd_hnn_witness(cfg: RunConfig, args) -> int:
             )
             return 1
     m = hn.hnn_element_set(p, _split_semicolons(args.elements), cfg.expansion_budget)
-    xs = hn.star_witness_hnn(p, m, g, h, cfg.expansion_budget)
-    fams = [sc.conjugate_set(m, x) for x in xs]
-    verdict = sc.check_mutually_reduced(fams, cfg.max_product_len, cfg.expansion_budget)
-    return _mutual_report(
-        cfg,
-        verdict,
-        m.ops,
-        {"witnesses": [hn.format_hnn_word(p, x) for x in xs]},
-    )
+    return _witness_report(cfg, m, hn.star_witness_hnn(p, m, g, h, cfg.expansion_budget))
 
 
 # -- amalgam -----------------------------------------------------------------------
 
 
-def _amalgam_presentation(args) -> am.AmalgamPresentation:
-    return am.AmalgamPresentation.from_json(_read_input(args.presentation))
-
-
 def cmd_amalgam_reduce(cfg: RunConfig, args) -> int:
-    p = _amalgam_presentation(args)
+    from . import amalgam as am
+    p = am.AmalgamPresentation.from_json(_read_input(args.presentation))
     w = am.parse_amalgam_word(p, args.word)
     emit(
         cfg,
@@ -445,14 +451,16 @@ def cmd_amalgam_reduce(cfg: RunConfig, args) -> int:
 
 
 def cmd_amalgam_type(cfg: RunConfig, args) -> int:
-    p = _amalgam_presentation(args)
+    from . import amalgam as am
+    p = am.AmalgamPresentation.from_json(_read_input(args.presentation))
     w = am.parse_amalgam_word(p, args.word)
     emit(cfg, {"type": am.type_of(w), "length": w.length})
     return 0
 
 
 def cmd_amalgam_dagger(cfg: RunConfig, args) -> int:
-    p = _amalgam_presentation(args)
+    from . import amalgam as am
+    p = am.AmalgamPresentation.from_json(_read_input(args.presentation))
     witness = am.dagger_check(p, cfg.search_len)
     emit(
         cfg,
@@ -467,9 +475,8 @@ def cmd_amalgam_dagger(cfg: RunConfig, args) -> int:
 
 
 def cmd_amalgam_lemma45(cfg: RunConfig, args) -> int:
-    from .errors import StructureMismatch
-
-    p = _amalgam_presentation(args)
+    from . import amalgam as am
+    p = am.AmalgamPresentation.from_json(_read_input(args.presentation))
     f = am.parse_amalgam_word(p, args.f)
     a = (
         wd.parse_word(p.factor_a, args.a)
@@ -500,7 +507,8 @@ def cmd_amalgam_lemma45(cfg: RunConfig, args) -> int:
 
 
 def cmd_amalgam_witness(cfg: RunConfig, args) -> int:
-    p = _amalgam_presentation(args)
+    from . import amalgam as am
+    p = am.AmalgamPresentation.from_json(_read_input(args.presentation))
     m = am.amalgam_element_set(p, _split_semicolons(args.elements))
     kwargs = {}
     if args.a is not None:
@@ -509,21 +517,13 @@ def cmd_amalgam_witness(cfg: RunConfig, args) -> int:
         kwargs["a_star"] = wd.parse_word(p.factor_a, args.a_star)
     if args.b is not None:
         kwargs["b"] = wd.parse_word(p.factor_b, args.b)
-    xs = am.star_witness_amalgam(
-        p, m, variant=args.variant, search_len=cfg.search_len, **kwargs
-    )
-    fams = [sc.conjugate_set(m, x) for x in xs]
-    verdict = sc.check_mutually_reduced(fams, cfg.max_product_len, cfg.expansion_budget)
-    return _mutual_report(
-        cfg,
-        verdict,
-        m.ops,
-        {"witnesses": [am.format_amalgam_word(x) for x in xs]},
-    )
+    xs = am.star_witness_amalgam(p, m, variant=args.variant, search_len=cfg.search_len, **kwargs)
+    return _witness_report(cfg, m, xs)
 
 
 def cmd_amalgam_free_gens(cfg: RunConfig, args) -> int:
-    p = _amalgam_presentation(args)
+    from . import amalgam as am
+    p = am.AmalgamPresentation.from_json(_read_input(args.presentation))
     elements = None
     if args.elements is not None:
         side = p.factor_b if args.kind == am.KIND_B_LARGE else p.factor_a
@@ -548,6 +548,8 @@ def cmd_amalgam_free_gens(cfg: RunConfig, args) -> int:
 
 
 def cmd_ring_epsilon(cfg: RunConfig, args) -> int:
+    from . import ring_lab as rl
+    from . import star_check as sc
     ops = FreeGroupOps(_alphabet(args.alphabet))
     phi = _ring_text(ops, args.phi, args.char)
     if args.siblings is not None:
@@ -576,6 +578,7 @@ def cmd_ring_epsilon(cfg: RunConfig, args) -> int:
 
 
 def cmd_ring_lemma32(cfg: RunConfig, args) -> int:
+    from . import ring_lab as rl
     ops = FreeGroupOps(_alphabet(args.alphabet))
     s1, s2, s3 = (_word_set(ops, t) for t in (args.s1, args.s2, args.s3))
     translators = _word_list(ops.alphabet, args.t)
@@ -588,6 +591,7 @@ def cmd_ring_lemma32(cfg: RunConfig, args) -> int:
 
 
 def cmd_ring_lemma33(cfg: RunConfig, args) -> int:
+    from . import ring_lab as rl
     ops = FreeGroupOps(_alphabet(args.alphabet))
     s_list = [
         [wd.parse_word(ops.alphabet, m) for m in _brace_members(part)]
@@ -611,6 +615,7 @@ def cmd_ring_lemma33(cfg: RunConfig, args) -> int:
 
 
 def cmd_ring_support_bound(cfg: RunConfig, args) -> int:
+    from . import ring_lab as rl
     ops = FreeGroupOps(_alphabet(args.alphabet))
     instances = []
     for text in args.instance:
@@ -641,6 +646,7 @@ def cmd_ring_support_bound(cfg: RunConfig, args) -> int:
 
 
 def cmd_experiment_batch(cfg: RunConfig, args) -> int:
+    from . import experiments as ex
     report = ex.batch_report(seed=cfg.rng_seed, scale=args.scale)
     rows = [
         {"section": name, "holds": section["holds"]}
@@ -650,251 +656,171 @@ def cmd_experiment_batch(cfg: RunConfig, args) -> int:
     return 0 if report["holds"] else 1
 
 
-# -- parser wiring -----------------------------------------------------------------
+# -- command table -----------------------------------------------------------------
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--max-product-len",
-        type=int,
-        default=6,
-        help="product-length bound for mutual-reduction and table checks",
-    )
-    common.add_argument(
-        "--search-len", type=int, default=6, help="word-length bound for searches"
-    )
-    common.add_argument(
-        "--expansion-budget",
-        type=int,
-        default=10_000_000,
-        help="node-expansion budget for bounded searches",
-    )
-    common.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-    common.add_argument(
-        "--output-format",
-        choices=("json", "csv", "text"),
-        default="json",
-        help="report format on stdout",
-    )
-    return common
+def _arg(*flags, **kwargs) -> tuple:
+    """One add_argument call: its flags and keyword arguments."""
+    return flags, kwargs
 
 
-def _alphabet_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--alphabet",
-        default="a,b",
-        help="comma-separated generator symbols (default a,b)",
-    )
+COMMON = (
+    _arg("--max-product-len", type=int, default=RunConfig.max_product_len,
+         help="product-length bound for mutual-reduction and table checks"),
+    _arg("--search-len", type=int, default=RunConfig.search_len,
+         help="word-length bound for searches"),
+    _arg("--expansion-budget", type=int, default=RunConfig.expansion_budget,
+         help="node-expansion budget for bounded searches"),
+    _arg("--seed", type=int, default=RunConfig.rng_seed, help="seed recorded in reports"),
+    _arg("--output-format", choices=FORMATS, default=RunConfig.output_format,
+         help="report format on stdout"),
+)
+GRAPH = _arg("graph", help="graph JSON file or '-'")
+WORD = _arg("word")
+PRESENTATION = _arg("presentation", help="presentation JSON file or '-'")
+ALPHABET = _arg("--alphabet", default="a,b",
+                help="comma-separated generator symbols (default a,b)")
+GENS = _arg("--gens", required=True, help="semicolon-separated generator words")
+SET = _arg("--set", required=True, help="brace set, e.g. '{a, b^-1}'")
+SETS = _arg("--sets", required=True, help="semicolon-separated brace sets")
+ELEMENTS = _arg("--elements", required=True, help="semicolon-separated member words")
+CHAR = _arg("--char", type=int, default=0)
+
+
+def _command_table() -> dict:
+    """group -> (help, leaves); each leaf is (name, help, handler, arguments),
+    and every leaf also takes the COMMON options.  Built per call, so that a
+    handler is looked up when the parser is built.  Choices are literals,
+    so that building the parser imports no library module."""
+    return {
+        "graph": ("two-coloured graph checks", (
+            ("validate", "check the graph invariants", cmd_graph_validate, (GRAPH,)),
+            ("stats", "component counts and witnesses", cmd_graph_stats, (GRAPH,)),
+            ("find-cycle", "alternating-cycle certificate", cmd_graph_find_cycle, (GRAPH,)),
+            ("criterion", "component-count criterion", cmd_graph_criterion, (GRAPH,)),
+        )),
+        "words": ("free-group word calculus", (
+            ("reduce", "freely reduce a word", cmd_words_reduce, (ALPHABET, WORD)),
+            ("cyclic", "cyclic reduction", cmd_words_cyclic, (ALPHABET, WORD)),
+            ("sigma", "exponent sum of a generator", cmd_words_sigma, (
+                ALPHABET,
+                WORD,
+                _arg("--generator", required=True, help="generator symbol to count"),
+            )),
+        )),
+        "subgroup": ("finitely generated subgroups", (
+            ("member", "membership with coordinates", cmd_subgroup_member, (ALPHABET, GENS, WORD)),
+            ("intersect", "intersection basis", cmd_subgroup_intersect,
+             (ALPHABET, GENS, _arg("--gens2", required=True))),
+            ("coset", "canonical coset representative", cmd_subgroup_coset,
+             (ALPHABET, GENS, WORD)),
+        )),
+        "star": ("mutual-reduction checks and witnesses", (
+            ("closure", "symmetric closure of a set", cmd_star_closure, (ALPHABET, SET)),
+            ("conjugate", "conjugate a set", cmd_star_conjugate,
+             (ALPHABET, SET, _arg("--by", required=True, help="conjugator word"))),
+            ("check", "bounded mutual-reduction check", cmd_star_check, (
+                ALPHABET,
+                SETS,
+                _arg("--max-len", type=int, default=None, help="product-length bound"),
+            )),
+            ("witness-free", "conjugator triple over a free ambient", cmd_star_witness_free, (
+                ALPHABET, SET,
+                _arg("--x", default="a", help="wing generator (default a)"),
+                _arg("--y", default="b", help="middle generator (default b)"),
+            )),
+        )),
+        "hnn": ("stable-letter extensions", (
+            ("reduce", "pinch-free reduction", cmd_hnn_reduce, (PRESENTATION, WORD)),
+            ("normal", "coset normal form", cmd_hnn_normal, (PRESENTATION, WORD)),
+            ("identity", "identity test", cmd_hnn_identity, (PRESENTATION, WORD)),
+            ("hypotheses", "displacing-element certificate", cmd_hnn_hypotheses, (PRESENTATION,)),
+            ("witness", "conjugator triple, verified", cmd_hnn_witness, (
+                PRESENTATION, ELEMENTS,
+                _arg("--g", default=None, help="displacing element (default: searched)"),
+                _arg("--h", default=None, help="outside element (default: searched)"),
+            )),
+        )),
+        "amalgam": ("amalgamated products", (
+            ("reduce", "alternating normal form", cmd_amalgam_reduce,
+             (PRESENTATION, _arg("word", help="e.g. 'A: a h | B: b'"))),
+            ("type", "boundary-tag type", cmd_amalgam_type, (PRESENTATION, WORD)),
+            ("dagger", "displacing-pair certificate", cmd_amalgam_dagger, (PRESENTATION,)),
+            ("lemma45", "sandwich-or-power classification", cmd_amalgam_lemma45, (
+                PRESENTATION,
+                _arg("--f", required=True, help="middle element"),
+                _arg("--m", type=int, default=None, help="wing power (default l(f)+2)"),
+                _arg("--a", default=None, help="displacing element (default: searched)"),
+                _arg("--b", default=None, help="second-factor element (default: stored)"),
+            )),
+            ("witness", "conjugator triple, verified", cmd_amalgam_witness, (
+                PRESENTATION, ELEMENTS,
+                _arg("--variant", choices=("direct", "mirrored"), default="direct"),
+                _arg("--a", default=None),
+                _arg("--a-star", dest="a_star", default=None),
+                _arg("--b", default=None),
+            )),
+            ("free-gens", "stock free family with relation search", cmd_amalgam_free_gens, (
+                PRESENTATION,
+                _arg("--kind", choices=("A-large", "B-large", "H-large"), required=True),
+                _arg("--count", type=int, default=3),
+                _arg("--elements", default=None, help="explicit seed elements"),
+            )),
+        )),
+        "ring": ("group-ring support experiments", (
+            ("epsilon", "sibling-translation element", cmd_ring_epsilon, (
+                ALPHABET,
+                _arg("--phi", required=True, help="terms, e.g. 'b, 2*a b' ('1' is the identity)"),
+                CHAR,
+                _arg("--siblings", default=None, help="three words (default: standard family)"),
+                _arg("--witnesses", default=None, help="three words (default: constructed)"),
+            )),
+            ("lemma32", "right-translation counting table", cmd_ring_lemma32, (
+                ALPHABET,
+                _arg("--s1", required=True, help="brace set"),
+                _arg("--s2", required=True),
+                _arg("--s3", required=True),
+                _arg("--t", required=True, help="semicolon-separated translators"),
+            )),
+            ("lemma33", "left-translation counting table", cmd_ring_lemma33, (
+                ALPHABET, SETS,
+                _arg("--triples", default=None,
+                     help="semicolon-separated comma triples (default: standard family)"),
+            )),
+            ("support-bound", "support-size experiment", cmd_ring_support_bound, (
+                ALPHABET,
+                _arg("--instance", action="append", required=True,
+                     help="'label | phi-terms | u-terms', repeatable"),
+                CHAR,
+            )),
+        )),
+        "experiment": ("batch experiment drivers", (
+            ("batch", "run every driver once", cmd_experiment_batch,
+             (_arg("--scale", choices=("quick", "full"), default="quick"),)),
+        )),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
     parser = argparse.ArgumentParser(
         prog="srlab",
         description="Alternating-cycle graphs, free-group word calculus, "
         "bounded mutual-reduction certificates, and group-ring support "
         "experiments.",
     )
-    top = parser.add_subparsers(dest="command", required=True)
-
-    graph = top.add_parser("graph", help="two-coloured graph checks").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = graph.add_parser("validate", parents=[common], help="check the graph invariants")
-    p.add_argument("graph", help="graph JSON file or '-'")
-    p.set_defaults(handler=cmd_graph_validate)
-    p = graph.add_parser("stats", parents=[common], help="component counts and witnesses")
-    p.add_argument("graph")
-    p.set_defaults(handler=cmd_graph_stats)
-    p = graph.add_parser("find-cycle", parents=[common], help="alternating-cycle certificate")
-    p.add_argument("graph")
-    p.set_defaults(handler=cmd_graph_find_cycle)
-    p = graph.add_parser("criterion", parents=[common], help="component-count criterion")
-    p.add_argument("graph")
-    p.set_defaults(handler=cmd_graph_criterion)
-
-    words = top.add_parser("words", help="free-group word calculus").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = words.add_parser("reduce", parents=[common], help="freely reduce a word")
-    _alphabet_option(p)
-    p.add_argument("word")
-    p.set_defaults(handler=cmd_words_reduce)
-    p = words.add_parser("cyclic", parents=[common], help="cyclic reduction")
-    _alphabet_option(p)
-    p.add_argument("word")
-    p.set_defaults(handler=cmd_words_cyclic)
-    p = words.add_parser("sigma", parents=[common], help="exponent sum of a generator")
-    _alphabet_option(p)
-    p.add_argument("word")
-    p.add_argument("--generator", required=True, help="generator symbol to count")
-    p.set_defaults(handler=cmd_words_sigma)
-
-    subgroup = top.add_parser("subgroup", help="finitely generated subgroups").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = subgroup.add_parser("member", parents=[common], help="membership with coordinates")
-    _alphabet_option(p)
-    p.add_argument("--gens", required=True, help="semicolon-separated generator words")
-    p.add_argument("word")
-    p.set_defaults(handler=cmd_subgroup_member)
-    p = subgroup.add_parser("intersect", parents=[common], help="intersection basis")
-    _alphabet_option(p)
-    p.add_argument("--gens", required=True)
-    p.add_argument("--gens2", required=True)
-    p.set_defaults(handler=cmd_subgroup_intersect)
-    p = subgroup.add_parser("coset", parents=[common], help="canonical coset representative")
-    _alphabet_option(p)
-    p.add_argument("--gens", required=True)
-    p.add_argument("word")
-    p.set_defaults(handler=cmd_subgroup_coset)
-
-    star = top.add_parser("star", help="mutual-reduction checks and witnesses").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = star.add_parser("closure", parents=[common], help="symmetric closure of a set")
-    _alphabet_option(p)
-    p.add_argument("--set", required=True, help="brace set, e.g. '{a, b^-1}'")
-    p.set_defaults(handler=cmd_star_closure)
-    p = star.add_parser("conjugate", parents=[common], help="conjugate a set")
-    _alphabet_option(p)
-    p.add_argument("--set", required=True)
-    p.add_argument("--by", required=True, help="conjugator word")
-    p.set_defaults(handler=cmd_star_conjugate)
-    p = star.add_parser("check", parents=[common], help="bounded mutual-reduction check")
-    _alphabet_option(p)
-    p.add_argument("--sets", required=True, help="semicolon-separated brace sets")
-    p.add_argument("--max-len", type=int, default=None, help="product-length bound")
-    p.set_defaults(handler=cmd_star_check)
-    p = star.add_parser(
-        "witness-free", parents=[common], help="conjugator triple over a free ambient"
-    )
-    _alphabet_option(p)
-    p.add_argument("--set", required=True)
-    p.add_argument("--x", default="a", help="wing generator (default a)")
-    p.add_argument("--y", default="b", help="middle generator (default b)")
-    p.set_defaults(handler=cmd_star_witness_free)
-
-    hnn = top.add_parser("hnn", help="stable-letter extensions").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = hnn.add_parser("reduce", parents=[common], help="pinch-free reduction")
-    p.add_argument("presentation", help="presentation JSON file or '-'")
-    p.add_argument("word")
-    p.set_defaults(handler=cmd_hnn_reduce)
-    p = hnn.add_parser("normal", parents=[common], help="coset normal form")
-    p.add_argument("presentation")
-    p.add_argument("word")
-    p.set_defaults(handler=cmd_hnn_normal)
-    p = hnn.add_parser("identity", parents=[common], help="identity test")
-    p.add_argument("presentation")
-    p.add_argument("word")
-    p.set_defaults(handler=cmd_hnn_identity)
-    p = hnn.add_parser(
-        "hypotheses", parents=[common], help="displacing-element certificate"
-    )
-    p.add_argument("presentation")
-    p.set_defaults(handler=cmd_hnn_hypotheses)
-    p = hnn.add_parser("witness", parents=[common], help="conjugator triple, verified")
-    p.add_argument("presentation")
-    p.add_argument(
-        "--elements", required=True, help="semicolon-separated member words"
-    )
-    p.add_argument("--g", default=None, help="displacing element (default: searched)")
-    p.add_argument("--h", default=None, help="outside element (default: searched)")
-    p.set_defaults(handler=cmd_hnn_witness)
-
-    amalgam = top.add_parser("amalgam", help="amalgamated products").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = amalgam.add_parser("reduce", parents=[common], help="alternating normal form")
-    p.add_argument("presentation")
-    p.add_argument("word", help="e.g. 'A: a h | B: b'")
-    p.set_defaults(handler=cmd_amalgam_reduce)
-    p = amalgam.add_parser("type", parents=[common], help="boundary-tag type")
-    p.add_argument("presentation")
-    p.add_argument("word")
-    p.set_defaults(handler=cmd_amalgam_type)
-    p = amalgam.add_parser("dagger", parents=[common], help="displacing-pair certificate")
-    p.add_argument("presentation")
-    p.set_defaults(handler=cmd_amalgam_dagger)
-    p = amalgam.add_parser(
-        "lemma45", parents=[common], help="sandwich-or-power classification"
-    )
-    p.add_argument("presentation")
-    p.add_argument("--f", required=True, help="middle element")
-    p.add_argument("--m", type=int, default=None, help="wing power (default l(f)+2)")
-    p.add_argument("--a", default=None, help="displacing element (default: searched)")
-    p.add_argument("--b", default=None, help="second-factor element (default: stored)")
-    p.set_defaults(handler=cmd_amalgam_lemma45)
-    p = amalgam.add_parser("witness", parents=[common], help="conjugator triple, verified")
-    p.add_argument("presentation")
-    p.add_argument("--elements", required=True)
-    p.add_argument("--variant", choices=("direct", "mirrored"), default="direct")
-    p.add_argument("--a", default=None)
-    p.add_argument("--a-star", dest="a_star", default=None)
-    p.add_argument("--b", default=None)
-    p.set_defaults(handler=cmd_amalgam_witness)
-    p = amalgam.add_parser(
-        "free-gens", parents=[common], help="stock free family with relation search"
-    )
-    p.add_argument("presentation")
-    p.add_argument(
-        "--kind",
-        choices=(am.KIND_A_LARGE, am.KIND_B_LARGE, am.KIND_H_LARGE),
-        required=True,
-    )
-    p.add_argument("--count", type=int, default=3)
-    p.add_argument("--elements", default=None, help="explicit seed elements")
-    p.set_defaults(handler=cmd_amalgam_free_gens)
-
-    ring = top.add_parser("ring", help="group-ring support experiments").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = ring.add_parser("epsilon", parents=[common], help="sibling-translation element")
-    _alphabet_option(p)
-    p.add_argument(
-        "--phi", required=True, help="terms, e.g. 'b, 2*a b' ('1' is the identity)"
-    )
-    p.add_argument("--char", type=int, default=0)
-    p.add_argument("--siblings", default=None, help="three words (default: standard family)")
-    p.add_argument("--witnesses", default=None, help="three words (default: constructed)")
-    p.set_defaults(handler=cmd_ring_epsilon)
-    p = ring.add_parser("lemma32", parents=[common], help="right-translation counting table")
-    _alphabet_option(p)
-    p.add_argument("--s1", required=True, help="brace set")
-    p.add_argument("--s2", required=True)
-    p.add_argument("--s3", required=True)
-    p.add_argument("--t", required=True, help="semicolon-separated translators")
-    p.set_defaults(handler=cmd_ring_lemma32)
-    p = ring.add_parser("lemma33", parents=[common], help="left-translation counting table")
-    _alphabet_option(p)
-    p.add_argument("--sets", required=True, help="semicolon-separated brace sets")
-    p.add_argument(
-        "--triples",
-        default=None,
-        help="semicolon-separated comma triples (default: standard family)",
-    )
-    p.set_defaults(handler=cmd_ring_lemma33)
-    p = ring.add_parser("support-bound", parents=[common], help="support-size experiment")
-    _alphabet_option(p)
-    p.add_argument(
-        "--instance",
-        action="append",
-        required=True,
-        help="'label | phi-terms | u-terms', repeatable",
-    )
-    p.add_argument("--char", type=int, default=0)
-    p.set_defaults(handler=cmd_ring_support_bound)
-
-    experiment = top.add_parser("experiment", help="batch experiment drivers").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = experiment.add_parser("batch", parents=[common], help="run every driver once")
-    p.add_argument("--scale", choices=("quick", "full"), default="quick")
-    p.set_defaults(handler=cmd_experiment_batch)
-
+    # the leaves share COMMON's actions: adding them to each leaf slows start-up
+    common = argparse.ArgumentParser(add_help=False)
+    for flags, kwargs in COMMON:
+        common.add_argument(*flags, **kwargs)
+    groups = parser.add_subparsers(dest="command", required=True)
+    for group, (group_help, leaves) in _command_table().items():
+        sub = groups.add_parser(group, help=group_help)
+        leaf_parsers = sub.add_subparsers(dest="subcommand", required=True)
+        for name, leaf_help, handler, arguments in leaves:
+            p = leaf_parsers.add_parser(name, parents=[common], help=leaf_help)
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(handler=handler)
     return parser
 
 

@@ -625,9 +625,11 @@ AMALGAM_NO_ISO = json.dumps({"A": ["a"], "B": ["b"], "H_in_A": [], "H_in_B": []}
         (["hnn", "reduce"], HNN_NO_PHI, ["a t"]),
         (["amalgam", "dagger"], AMALGAM_NO_ISO, []),
         (["ring", "epsilon"], None, ["--phi", "1/0*b"]),
+        (["ring", "epsilon"], None, ["--phi", "x*a"]),
     ],
     ids=["graph-missing-key", "graph-not-object", "graph-list-vertex",
-         "hnn-missing-phi", "amalgam-missing-iso", "ring-zero-denominator"],
+         "hnn-missing-phi", "amalgam-missing-iso", "ring-zero-denominator",
+         "ring-bad-coefficient"],
 )
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, leaf, text, extra):
     argv = list(leaf)

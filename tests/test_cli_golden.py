@@ -1,5 +1,6 @@
-"""Golden CLI reports: stdout and exit code of fixed amalgam, hnn, star and
-ring commands, run in-process, compared with a recorded file.
+"""Golden CLI reports: stdout and exit code of fixed graph, words, subgroup,
+star, hnn, amalgam and ring commands, run in-process, compared with a
+recorded file.
 
 The recorded file, tests/data/cli_golden.json, was written by the previous
 version of the code with `PYTHONPATH=src python tests/test_cli_golden.py`.
@@ -18,8 +19,14 @@ from srlab.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
 
-# presentation files, written to a temporary directory and named by @key
+# input files, written to a temporary directory and named by @key
 PRESENTATIONS = {
+    # alternating four-cycle 1-2-3-4
+    "square": {"vertices": [1, 2, 3, 4], "e_edges": [[1, 2], [3, 4]], "f_edges": [[2, 3], [4, 1]]},
+    # alternating path 1-2-3-4: no cycle, and 2 and 3 are cut vertices
+    "path": {"vertices": [1, 2, 3, 4], "e_edges": [[1, 2], [3, 4]], "f_edges": [[2, 3]]},
+    # one edge in both colour classes
+    "shared": {"vertices": [1, 2], "e_edges": [[1, 2]], "f_edges": [[1, 2]]},
     # <a> * <b> over the trivial subgroup
     "plain": {"A": ["a"], "B": ["b"], "H_in_A": [], "H_in_B": [], "iso": []},
     # F(a, h) * F(b, k) identifying <h> with <k>
@@ -91,6 +98,20 @@ COMMANDS = [
     ["ring", "support-bound", "--instance", "1 | b | 1", "--max-product-len", "4"],
     ["ring", "support-bound", "--instance", "1 | b | 1", "--instance", "a | b a | 1",
      "--max-product-len", "3", "--output-format", "csv"],
+    ["graph", "validate", "@square"],
+    ["graph", "validate", "@shared"],
+    ["graph", "stats", "@path"],
+    ["graph", "find-cycle", "@square"],
+    ["graph", "find-cycle", "@path", "--output-format", "text"],
+    ["graph", "criterion", "@square"],
+    ["graph", "criterion", "@path"],
+    ["words", "reduce", "a b b^-1 a^-1 a"],
+    ["words", "cyclic", "b^-1 a a b", "--output-format", "csv"],
+    ["words", "sigma", "x y x^-1 y", "--alphabet", "x,y", "--generator", "y"],
+    ["subgroup", "member", "--gens", "a a; b a", "a a b a"],
+    ["subgroup", "member", "--gens", "a a", "a b"],
+    ["subgroup", "intersect", "--gens", "a a; b", "--gens2", "a"],
+    ["subgroup", "coset", "--gens", "a a", "a a a b"],
 ]
 
 

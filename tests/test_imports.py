@@ -1,7 +1,8 @@
-"""Every name imported by a module of the package is used in that module.
+"""Every name imported by a module of the package is used in that module,
+and every name imported inside a function is used in that function.
 
 Stdlib ast only: a name counts as used when it is loaded anywhere in the
-module, listed in __all__, or named inside a string annotation."""
+scope, listed in __all__, or named inside a string annotation."""
 
 import ast
 from pathlib import Path
@@ -10,11 +11,28 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "srlab"
 MODULES = sorted(PACKAGE.glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _imported(tree: ast.Module) -> dict:
+def _scopes(tree: ast.Module):
+    """The module and every function in it."""
+    yield tree
+    yield from (n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of a scope that no function nested in it holds."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imported(scope: ast.AST) -> dict:
     names = {}
-    for node in ast.walk(tree):
+    for node in _own_nodes(scope):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 names[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -24,9 +42,9 @@ def _imported(tree: ast.Module) -> dict:
     return names
 
 
-def _annotations(tree: ast.Module):
+def _annotations(tree: ast.AST):
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, FUNCTIONS):
             yield node.returns
             args = node.args
             for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg):
@@ -36,7 +54,7 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def _used(tree: ast.Module) -> set:
+def _used(tree: ast.AST) -> set:
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
@@ -52,9 +70,11 @@ def _used(tree: ast.Module) -> set:
 
 
 def unused_imports(source: str) -> list:
-    tree = ast.parse(source)
-    used = _used(tree)
-    return sorted((line, name) for name, line in _imported(tree).items() if name not in used)
+    unused = []
+    for scope in _scopes(ast.parse(source)):
+        used = _used(scope)
+        unused += [(line, name) for name, line in _imported(scope).items() if name not in used]
+    return sorted(unused)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -70,3 +90,15 @@ def test_checker_sees_string_annotations_and_dead_imports():
         "    return ()\n"
     )
     assert unused_imports(source) == [(1, "Iterator")]
+
+
+def test_checker_sees_a_dead_import_inside_a_function():
+    source = (
+        "def f():\n"
+        "    from . import hnn as hn\n"
+        "    return 1\n"
+        "def g():\n"
+        "    from . import hnn as hn\n"
+        "    return hn\n"
+    )
+    assert unused_imports(source) == [(2, "hn")]
