@@ -25,7 +25,7 @@ the last syllable of u, up to the first untouched syllable of v that
 receives a trivial H-part.  Every syllable outside that stretch is a
 canonical left-coset representative that passes no H-part to its right, or
 the last syllable, so the result equals the full reduction of the
-concatenation.
+concatenation.  An inverse merges nothing, so it runs the coset pass alone.
 
 Beyond arithmetic, the module decides the displacement condition used by the
 paperless free-subgroup machinery: B != H together with a, a_* in A \\ H such
@@ -62,7 +62,7 @@ from .star_check import (
     free_generator_certificate,
     quotient_set,
 )
-from .subgroups import SubgroupAutomaton, displaces, from_generators
+from .subgroups import SubgroupAutomaton, _remember, displaces, from_generators
 from .words import (
     Alphabet,
     Word,
@@ -95,6 +95,15 @@ class AmalgamPresentation:
     h_in_b: SubgroupAutomaton = field(init=False, repr=False, compare=False, hash=False)
     a_outside: Word = field(init=False, repr=False, compare=False, hash=False)
     b_outside: Word = field(init=False, repr=False, compare=False, hash=False)
+    one: Word = field(init=False, repr=False, compare=False, hash=False)
+    # images across the identification, keyed by letters and capped like
+    # the express memo they are built from
+    _to_a: dict = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
+    _to_b: dict = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h_a_basis", tuple(self.h_a_basis))
@@ -119,6 +128,8 @@ class AmalgamPresentation:
                 )
         object.__setattr__(self, "h_in_a", h_in_a)
         object.__setattr__(self, "h_in_b", h_in_b)
+        # the identity in A letters, the trivial H-part every product starts from
+        object.__setattr__(self, "one", identity(self.factor_a))
         # a factor equals H exactly when H swallows every generator
         object.__setattr__(self, "a_outside", _generator_outside(self.factor_a, h_in_a, "A"))
         object.__setattr__(self, "b_outside", _generator_outside(self.factor_b, h_in_b, "B"))
@@ -126,16 +137,10 @@ class AmalgamPresentation:
     # -- the identification H_in_A <-> H_in_B ------------------------------
 
     def to_b_side(self, h_word: Word) -> Word:
-        coords = self.h_in_a.express(h_word)
-        if coords is None:
-            raise PreconditionViolated(f"{h_word} is not in the amalgamated subgroup")
-        return map_basis_coords(self.factor_b, self.h_b_basis, coords)
+        return _translate(self._to_b, self.h_in_a, self.factor_b, self.h_b_basis, h_word)
 
     def to_a_side(self, h_word: Word) -> Word:
-        coords = self.h_in_b.express(h_word)
-        if coords is None:
-            raise PreconditionViolated(f"{h_word} is not in the amalgamated subgroup")
-        return map_basis_coords(self.factor_a, self.h_a_basis, coords)
+        return _translate(self._to_a, self.h_in_b, self.factor_a, self.h_a_basis, h_word)
 
     def alphabet_of(self, tag: str) -> Alphabet:
         return self.factor_a if tag == TAG_A else self.factor_b
@@ -185,6 +190,24 @@ class AmalgamPresentation:
         return p
 
 
+def _translate(
+    memo: dict,
+    sub: SubgroupAutomaton,
+    alphabet: Alphabet,
+    basis: tuple[Word, ...],
+    h_word: Word,
+) -> Word:
+    """The image of h_word, expressed in sub's basis, as the same product of
+    basis, a word over alphabet; memo keeps images by letters."""
+    image = memo.get(h_word.letters)
+    if image is None:
+        coords = sub.express(h_word)
+        if coords is None:
+            raise PreconditionViolated(f"{h_word} is not in the amalgamated subgroup")
+        image = _remember(memo, h_word.letters, map_basis_coords(alphabet, basis, coords))
+    return image
+
+
 def _generator_outside(alphabet: Alphabet, sub: SubgroupAutomaton, side: str) -> Word:
     for i in range(1, len(alphabet) + 1):
         g = Word(alphabet, (i,))
@@ -206,6 +229,7 @@ class AmalgamWord:
 
     syllables: tuple[tuple[str, Word], ...]
     h_word: Word
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "syllables", tuple(self.syllables))
@@ -220,6 +244,13 @@ class AmalgamWord:
             last = tag
         if self.syllables and not self.h_word.is_identity:
             raise ValueError("the H-remnant must be merged into the last syllable")
+
+    def __hash__(self) -> int:
+        # computed once: elements key the search tables, and each lookup
+        # would otherwise rehash every syllable
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.syllables, self.h_word)))
+        return self._hash
 
     @property
     def length(self) -> int:
@@ -250,7 +281,7 @@ def raw_syllables(w: AmalgamWord) -> list[tuple[str, Word]]:
 
 
 def amalgam_identity(p: AmalgamPresentation) -> AmalgamWord:
-    return AmalgamWord((), identity(p.factor_a))
+    return AmalgamWord((), p.one)
 
 
 def amalgam_reduce(
@@ -279,7 +310,7 @@ def _reduce_onto(
     is appended untouched and canonicalization may stop inside it."""
     low = max(len(stack) - 1, 0)  # first stack index that may change
     settled = None  # stack index from which raw's syllables lie untouched
-    pending = identity(p.factor_a)  # H-element waiting to be pushed right
+    pending = p.one  # H-element waiting to be pushed right
     for j, (tag, w) in enumerate(raw):
         if raw_is_canonical and not pending and (not stack or stack[-1][0] != tag):
             settled = len(stack)
@@ -293,7 +324,7 @@ def _reduce_onto(
                 f"word over {w.alphabet.symbols} tagged {tag} does not fit that factor"
             )
         u = multiply(_h_into(p, pending, tag), w) if pending else w
-        pending = identity(p.factor_a)
+        pending = p.one
         if stack and stack[-1][0] == tag:
             u = multiply(stack.pop()[1], u)
             low = min(low, len(stack))
@@ -308,8 +339,7 @@ def _reduce_onto(
         stack[-1] = (tag, multiply(w, _h_into(p, pending, tag)))
     settled = len(stack) if settled is None else settled
     return AmalgamWord(
-        (*stack[:low], *_canonicalize(p, stack[low:], settled - low)),
-        identity(p.factor_a),
+        (*stack[:low], *_canonicalize(p, stack[low:], settled - low)), p.one
     )
 
 
@@ -333,7 +363,7 @@ def _canonicalize(
     from index settled on the syllables are already canonical, so a trivial
     carry there leaves the rest as it is."""
     out: list[tuple[str, Word]] = []
-    carry = identity(p.factor_a)
+    carry = p.one
     for idx, (tag, u) in enumerate(sylls):
         if idx >= settled and not carry:
             out.extend(sylls[idx:])
@@ -342,7 +372,10 @@ def _canonicalize(
             u = multiply(_h_into(p, carry, tag), u)
         if idx < len(sylls) - 1:
             rep = p.subgroup_of(tag).left_coset_representative(u)
-            carry = _h_out_of(p, multiply(invert(rep), u), tag)
+            if rep.letters == u.letters:
+                carry = p.one
+            else:
+                carry = _h_out_of(p, multiply(invert(rep), u), tag)
             out.append((tag, rep))
         else:
             out.append((tag, u))
@@ -387,7 +420,9 @@ class AmalgamOps:
     canonical form (as every element this module returns is) and keeps the
     syllables away from the junction as they are.  An H-element u has no
     syllables to keep, so u*v is then the full reduction of the
-    concatenation, and v may be any element.
+    concatenation, and v may be any element.  invert(u) needs no merge: the
+    reversed inverted syllables of a canonical u alternate and lie outside
+    H, so only the coset pass runs.
 
     size is the syllable length, or 1 for a nontrivial H-element; it is
     subadditive, inversion-invariant, and zero exactly on the identity.
@@ -405,8 +440,9 @@ class AmalgamOps:
     def invert(self, u: AmalgamWord) -> AmalgamWord:
         if not u.syllables:
             return AmalgamWord((), invert(u.h_word))
+        p = self.presentation
         raw = [(tag, invert(w)) for tag, w in reversed(u.syllables)]
-        return amalgam_reduce(self.presentation, raw)
+        return AmalgamWord(tuple(_canonicalize(p, raw, len(raw))), p.one)
 
     def identity_element(self) -> AmalgamWord:
         return amalgam_identity(self.presentation)

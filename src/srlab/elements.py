@@ -26,6 +26,11 @@ from .words import Alphabet, Word, identity, invert, multiply
 
 
 class GroupOps(Protocol):
+    """multiply takes canonical operands, the elements that the ops' own
+    constructors and operations return; the extension ops compute a product
+    from the seam and keep the operands' other syllables as they are.  The
+    identity element is canonical, and identity * g canonicalizes g."""
+
     def multiply(self, g, h): ...
 
     def invert(self, g): ...

@@ -14,6 +14,17 @@ representative of A (after t^-1) or B (after t), pushing the subgroup part
 leftward through the stable letter.  Normal forms are canonical: two words are
 equal in G* iff their normal forms are identical.
 
+A product u*v of normal forms is computed from the seam (Lyndon-Schupp,
+ch. IV.2).  The tail of u is pinched against the head of v; the syllable
+left at the junction is made a coset representative, and its subgroup part
+is carried leftward through u until a carry is trivial.  The syllables of v
+past the junction are coset representatives already and carries only move
+left, so they are kept as they are; the syllables of u left of the last
+carry pass nothing on.  The result, and the phi letters spent, equal those
+of the full normal form of the concatenation.  A base u (no syllables) takes
+the full path.  The inverse of a normal form is Britton-reduced, so it only
+needs the coset pass.
+
 Iterated phi application can blow up (Baumslag-Solitar style presentations
 square lengths per pinch), so every reducing operation takes an expansion
 budget counted in letters produced by phi images and raises BudgetExceeded
@@ -149,10 +160,15 @@ class HnnPresentation:
 
 @dataclass(frozen=True)
 class HnnWord:
-    """Syllable form g0 t^{e1} g1 ... t^{en} gn; not necessarily reduced."""
+    """Syllable form g0 t^{e1} g1 ... t^{en} gn; not necessarily reduced.
+
+    The hash is computed once, on first use: elements key the product
+    tables of the searches, and each lookup would otherwise rehash every
+    syllable."""
 
     g0: Word
     syllables: tuple[tuple[int, Word], ...] = ()
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "syllables", tuple(self.syllables))
@@ -161,6 +177,11 @@ class HnnWord:
                 raise ValueError(f"stable-letter exponent must be +1 or -1, got {eps}")
             if g.alphabet.symbols != self.g0.alphabet.symbols:
                 raise AlphabetMismatch("syllable alphabet differs from head alphabet")
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.g0, self.syllables)))
+        return self._hash
 
     @property
     def t_length(self) -> int:
@@ -321,18 +342,34 @@ def normal_form(
     """
     tracker = _PhiBudget(budget)
     w = _britton(p, w, tracker)
-    sylls = list(w.syllables)
-    g0 = w.g0
+    return _coset_pass(p, w.g0, list(w.syllables), (), tracker, False)
+
+
+def _coset_pass(
+    p: HnnPresentation,
+    g0: Word,
+    sylls: list[tuple[int, Word]],
+    settled: tuple[tuple[int, Word], ...],
+    tracker: _PhiBudget,
+    canonical_left: bool,
+) -> HnnWord:
+    """Make the Britton-reduced sylls coset representatives, right to left,
+    and append the settled syllables, which already are.  Each subgroup
+    part moves left through its stable letter (t^-1 a = phi(a) t^-1,
+    t b = phi^-1(b) t) into the previous syllable or g0.  When the
+    syllables left of each one are representatives too (canonical_left),
+    the pass stops at the first trivial carry: it would change nothing
+    further and spend nothing."""
     for i in range(len(sylls) - 1, -1, -1):
         eps, g = sylls[i]
-        if eps == -1:
-            rep = p.a_sub.coset_representative(g)
-            part = multiply(g, invert(rep))
-            image = p.phi(part)
-        else:
-            rep = p.b_sub.coset_representative(g)
-            part = multiply(g, invert(rep))
-            image = p.phi_inv(part)
+        sub, image_of = (p.a_sub, p.phi) if eps == -1 else (p.b_sub, p.phi_inv)
+        rep = sub.coset_representative(g)
+        part = multiply(g, invert(rep))
+        if not part:  # g is its own representative and carries nothing
+            if canonical_left:
+                break
+            continue
+        image = image_of(part)
         tracker.spend(len(image))
         sylls[i] = (eps, rep)
         if i > 0:
@@ -341,7 +378,35 @@ def normal_form(
         else:
             g0 = multiply(g0, image)
     # carries stay inside A or B, so no junction can become a new pinch
-    return HnnWord(g0, tuple(sylls))
+    return HnnWord(g0, (*sylls, *settled))
+
+
+def _seam_product(
+    p: HnnPresentation, u: HnnWord, v: HnnWord, tracker: _PhiBudget
+) -> HnnWord:
+    """Normal form of u*v for normal forms u (with syllables) and v: the
+    Britton pass over the concatenation pinches only at the seam, and the
+    coset pass changes only the junction and what its carries reach."""
+    stack = list(u.syllables)
+    eps, g = stack[-1]
+    stack[-1] = (eps, multiply(g, v.g0))
+    g0 = u.g0
+    rest = v.syllables
+    j = 0
+    while j < len(rest) and stack and stack[-1][0] == -rest[j][0]:
+        image = _pinch_image(p, *stack[-1])
+        if image is None:
+            break
+        tracker.spend(len(image))
+        stack.pop()
+        carried = multiply(image, rest[j][1])
+        if stack:
+            le, lg = stack[-1]
+            stack[-1] = (le, multiply(lg, carried))
+        else:
+            g0 = multiply(g0, carried)
+        j += 1
+    return _coset_pass(p, g0, stack, rest[j:], tracker, True)
 
 
 def is_normal_form(p: HnnPresentation, w: HnnWord) -> bool:
@@ -371,6 +436,13 @@ def words_equal(
 class HnnOps:
     """Group operations on canonical (normal-form) extension elements.
 
+    multiply and invert take canonical operands, as every element this
+    module's element sets and operations return is.  multiply(u, v) works
+    from the seam and keeps the syllables away from the junction as they
+    are; a base u has no syllables to keep, so u*v is then the full normal
+    form of the concatenation, and v may be any element.  invert skips the
+    Britton pass, which finds no pinch in the inverse of a reduced word.
+
     size is the stable-letter count, or 1 for a nontrivial base element:
     subadditive because Britton reduction never raises the count, zero exactly
     on the identity, and invariant under inversion.
@@ -380,10 +452,14 @@ class HnnOps:
     budget: int = DEFAULT_EXPANSION_BUDGET
 
     def multiply(self, u: HnnWord, v: HnnWord) -> HnnWord:
-        return normal_form(self.presentation, hnn_concat(u, v), self.budget)
+        if not u.syllables:
+            return normal_form(self.presentation, hnn_concat(u, v), self.budget)
+        return _seam_product(self.presentation, u, v, _PhiBudget(self.budget))
 
     def invert(self, u: HnnWord) -> HnnWord:
-        return normal_form(self.presentation, hnn_invert(u), self.budget)
+        w = hnn_invert(u)
+        p, tracker = self.presentation, _PhiBudget(self.budget)
+        return _coset_pass(p, w.g0, list(w.syllables), (), tracker, False)
 
     def identity_element(self) -> HnnWord:
         return hnn_identity(self.presentation)

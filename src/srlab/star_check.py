@@ -134,9 +134,14 @@ def quotient_set(s: ElementSet) -> ElementSet:
 
 
 def conjugate_set(m: ElementSet, x) -> ElementSet:
-    """{x^-1 f x : f in m}; conjugation is injective, so |result| = |m|."""
+    """{x^-1 f x : f in m}; conjugation is injective, so |result| = |m|.
+
+    x need only be an element the ops can invert (an HNN conjugator need
+    only be Britton-reduced): the products use the canonical x^-1 and
+    (x^-1)^-1, since multiply takes canonical operands."""
     ops = m.ops
     xinv = ops.invert(x)
+    x = ops.invert(xinv)
     return ElementSet.of(
         ops, [ops.multiply(ops.multiply(xinv, f), x) for f in m.elements]
     )
@@ -369,44 +374,48 @@ def find_relation(ops, elements, max_len: int, expansion_budget: int = DEFAULT_E
 
     Iterative deepening keeps the first hit shortest, then lexicographically
     least; the subadditive size bound prunes products that cannot return to
-    the identity in the remaining syllables.
+    the identity in the remaining syllables.  A table keyed by move prefix
+    keeps each product for the longer limits, so each prefix is multiplied
+    once; the budget is spent per visited prefix, computed or reused.
     """
     elements = list(elements)
-    inverses = [ops.invert(z) for z in elements]
     budget = _Budget(expansion_budget)
     max_z = max((ops.size(z) for z in elements), default=0)
 
+    # move 2j is z_j and move 2j + 1 its inverse, so m ^ 1 undoes move m
     moves = [
         (j, exp, val)
-        for j in range(len(elements))
-        for exp, val in ((1, elements[j]), (-1, inverses[j]))
+        for j, z in enumerate(elements)
+        for exp, val in ((1, z), (-1, ops.invert(z)))
     ]
+    products = {(): (ops.identity_element(), 0)}
     for limit in range(1, max_len + 1):
         # depth-first over syllable sequences of exactly `limit` syllables,
         # one move iterator per open prefix
-        prefix: list = []
-        prods = [ops.identity_element()]
-        frames = [iter(moves)]
+        prefix: tuple = ()
+        frames = [iter(range(len(moves)))]
         while frames:
-            depth = len(prefix)
-            for j, exp, val in frames[-1]:
-                if prefix and prefix[-1] == (j, -exp):
+            for m in frames[-1]:
+                if prefix and prefix[-1] == m ^ 1:
                     continue
                 budget.spend()
-                nxt = ops.multiply(prods[-1], val)
-                if ops.size(nxt) > (limit - depth - 1) * max_z:
+                extended = prefix + (m,)
+                entry = products.get(extended)
+                if entry is None:
+                    nxt = ops.multiply(products[prefix][0], moves[m][2])
+                    entry = (nxt, ops.size(nxt))
+                    if len(extended) < max_len:
+                        products[extended] = entry
+                if entry[1] > (limit - len(extended)) * max_z:
                     continue
-                if depth + 1 == limit:
-                    if ops.is_identity(nxt):
-                        return tuple(prefix) + ((j, exp),)
+                if len(extended) == limit:
+                    if ops.is_identity(entry[0]):
+                        return tuple(moves[i][:2] for i in extended)
                     continue
-                prefix.append((j, exp))
-                prods.append(nxt)
-                frames.append(iter(moves))
+                prefix = extended
+                frames.append(iter(range(len(moves))))
                 break
             else:
                 frames.pop()
-                if prefix:
-                    prefix.pop()
-                    prods.pop()
+                prefix = prefix[:-1]
     return None

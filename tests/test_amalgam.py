@@ -26,6 +26,7 @@ from srlab.amalgam import (
     to_amalgam_word,
     type_of,
 )
+from srlab.elements import map_basis_coords
 from srlab.errors import (
     AlphabetMismatch,
     AmbientMismatch,
@@ -137,6 +138,25 @@ def test_identification_is_basiswise(p_hk):
 def test_identification_for_nontrivial_basis(p_normal):
     a4 = parse_word(p_normal.factor_a, "a a a a")
     assert str(p_normal.to_b_side(a4)) == "b b b b"
+
+
+def test_identification_is_memoized_and_capped(monkeypatch):
+    import srlab.subgroups
+
+    monkeypatch.setattr(srlab.subgroups, "MEMO_CAP", 5)
+    p = pres(("a", "h"), ("b", "k"), ["h", "a h a^-1"], ["b k b^-1", "k k"])
+    members = [h for h in p.h_in_a.iter_members(5) if not h.is_identity]
+    assert len(members) > 10
+    for _ in range(2):  # fill the memos, then read from them
+        for h in members:
+            coords = p.h_in_a.express(h)
+            image = p.to_b_side(h)
+            assert image == map_basis_coords(p.factor_b, p.h_b_basis, coords)
+            assert p.to_a_side(image) == h
+            assert 0 < len(p._to_b) <= 5 and 0 < len(p._to_a) <= 5
+    for _ in range(2):  # a non-member is refused on every call
+        with pytest.raises(PreconditionViolated):
+            p.to_b_side(parse_word(p.factor_a, "a"))
 
 
 # -- reduction and normal form --------------------------------------------
@@ -374,6 +394,28 @@ def test_seam_product_keeps_the_untouched_prefix(p_hk):
         product = ops.multiply(u, aw(p_hk, text))
         assert product.syllables[:3] == u.syllables[:3]
         assert product == _full_reduce(p_hk, raw_syllables(u) + raw_syllables(aw(p_hk, text)))
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_inverse_equals_the_reduction_of_reversed_inverted_syllables(index):
+    # the inverse of a canonical element needs only the coset pass; the
+    # reference merges the reversed inverted syllables from an empty stack
+    # (an H-element between u and v makes inner syllables that start with
+    # a letter of H, whose inverses are not coset representatives)
+    p = fixed_amalgam_presentations()[index]
+    ops = AmalgamOps(p)
+    rng = random.Random(10 + index)
+    h_members = [AmalgamWord((), h) for h in p.h_in_a.iter_members(2)] or [
+        ops.identity_element()
+    ]
+    cases = 0
+    for u, v in _seam_cases(p, rng):
+        h = rng.choice(h_members)
+        for w in (u, ops.multiply(u, v), ops.multiply(ops.multiply(u, h), v)):
+            raw = [(tag, invert(x)) for tag, x in reversed(raw_syllables(w))]
+            assert ops.invert(w) == amalgam_reduce(p, raw)
+            cases += 1
+    assert cases > 2500
 
 
 def test_element_set_deduplicates_identified_elements(p_hk):

@@ -41,7 +41,8 @@ from srlab.hnn import (
     to_plain_word,
     words_equal,
 )
-from srlab.star_check import check_mutually_reduced, conjugate_set
+from srlab.experiments import random_rank_one_presentation
+from srlab.star_check import ElementSet, check_mutually_reduced, conjugate_set
 from srlab.words import Alphabet, from_signed, identity, parse_word
 
 
@@ -316,6 +317,102 @@ def test_ops_basic_laws(p_bs):
         assert (ops.size(u) == 0) == ops.is_identity(u)
 
 
+# -- products from the seam ---------------------------------------------------
+
+
+def _seam_presentations():
+    """Four random rank-1 presentations and Baumslag-Solitar BS(1,2), whose
+    phi doubles a letter at every pinch."""
+    rng = random.Random(5)
+    return [random_rank_one_presentation(rng) for _ in range(4)] + [
+        pres(("a",), ["a"], ["a a"])
+    ]
+
+
+def _canonical_pool(p, rng):
+    """Normal forms over p: random words, and, where the hypotheses hold,
+    witness conjugators (raw, so not normal forms) made canonical, their
+    inverses and the conjugates they make."""
+    ops = HnnOps(p)
+    pool = [normal_form(p, _random_hnn(p, rng, max_sylls=4, max_base=3)) for _ in range(40)]
+    g = star_witness_hypotheses(p, search_len=3)
+    if g is not None:
+        m = ElementSet.of(ops, [u for u in pool[:3] if not ops.is_identity(u)])
+        for x in star_witness_hnn(p, m, g, find_word_outside(p, max_len=3)):
+            x = ops.multiply(ops.identity_element(), x)
+            pool += [x, ops.invert(x), *(ops.multiply(ops.multiply(ops.invert(x), f), x) for f in m)]
+    return pool
+
+
+def _seam_pairs(p, rng):
+    """(u, v) pairs of normal forms: random pairs, u u^-1, pairs (u w, w^-1 v)
+    that cancel through the whole of w at the seam, and base left operands."""
+    ops = HnnOps(p)
+    pool = _canonical_pool(p, rng)
+    for u in pool:
+        yield u, ops.invert(u)
+        for v in rng.sample(pool, 5):
+            yield u, v
+            w = rng.choice(pool)
+            yield ops.multiply(u, w), ops.multiply(ops.invert(w), v)
+        yield ops.identity_element(), u
+        yield HnnWord(u.g0), u
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except BudgetExceeded:
+        return "BudgetExceeded"
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_seam_product_equals_full_normal_form(index):
+    p = _seam_presentations()[index]
+    ops = HnnOps(p)
+    cases = 0
+    for u, v in _seam_pairs(p, random.Random(index)):
+        assert is_normal_form(p, u) and is_normal_form(p, v)
+        assert ops.multiply(u, v) == normal_form(p, hnn_concat(u, v))
+        assert ops.invert(u) == normal_form(p, hnn_invert(u))
+        cases += 1
+    assert cases > 400
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_seam_product_runs_out_at_the_full_pass_budgets(index):
+    # the seam product spends the phi letters the full pass spends, so the
+    # same budgets run out
+    p = _seam_presentations()[index]
+    rng = random.Random(100 + index)
+    pairs = rng.sample(list(_seam_pairs(p, rng)), 60)
+    exhausted = 0
+    for u, v in pairs:
+        for budget in range(0, 12):
+            ops = HnnOps(p, budget)
+            full = _outcome(lambda: normal_form(p, hnn_concat(u, v), budget))
+            assert _outcome(lambda: ops.multiply(u, v)) == full
+            exhausted += full == "BudgetExceeded"
+            full = _outcome(lambda: normal_form(p, hnn_invert(u), budget))
+            assert _outcome(lambda: ops.invert(u)) == full
+            exhausted += full == "BudgetExceeded"
+    assert exhausted > 20
+
+
+def test_seam_product_keeps_the_untouched_syllables(p_bs):
+    # v's syllables past the junction are representatives already, and the
+    # carry stops at the first trivial part: t a^2 = a t, so the junction
+    # a a carries a into the trivial syllable before it, which keeps it
+    ops = HnnOps(p_bs)
+    u = normal_form(p_bs, parse_hnn_word(p_bs, "t a t t a"))
+    v = normal_form(p_bs, parse_hnn_word(p_bs, "a t a t a"))
+    product = ops.multiply(u, v)
+    assert format_hnn_word(p_bs, product) == "t a t a t t a t a"
+    assert product.syllables[:1] == u.syllables[:1]
+    assert product.syllables[-2:] == v.syllables
+    assert product == normal_form(p_bs, hnn_concat(u, v))
+
+
 def test_element_set_canonicalizes(p_ab):
     s = hnn_element_set(p_ab, ["t b", "a t", "a"])
     # t b and a t are the same element, so only two members survive
@@ -360,6 +457,28 @@ def test_witness_spec_arithmetic(p_fh):
     fams = [conjugate_set(m, x) for x in (x1, x2, x3)]
     verdict = check_mutually_reduced(fams, 6)
     assert verdict.holds
+
+
+def test_witness_with_a_non_representative_syllable(p_ab):
+    # g = a b is Britton-reduced but not a coset representative after t^-1
+    # (A a b = A b), so the conjugators are not normal forms; conjugating by
+    # them gives the normal-form families and the verdict that the full
+    # normal form of each product gives
+    m = hnn_element_set(p_ab, ["a"])
+    g = parse_word(p_ab.alphabet, "a b")
+    h = parse_word(p_ab.alphabet, "b a")
+    xs = star_witness_hnn(p_ab, m, g, h)
+    assert format_hnn_word(p_ab, xs[0]) == "t^-1 t^-1 a b t a^-1 b^-1 t t"
+    assert not is_normal_form(p_ab, xs[0])
+    fams = [conjugate_set(m, x) for x in xs]
+    for fam, x in zip(fams, xs):
+        (f,) = m.elements
+        raw = hnn_concat(hnn_concat(hnn_invert(x), f), x)
+        assert fam.elements == (normal_form(p_ab, raw),)
+    assert [m.ops.fmt(f) for f in fams[0]] == [
+        "t^-1 t^-1 b a t^-1 b^-1 a^-1 t t a t^-1 b t^-1 b t a^-1 b^-1 t t"
+    ]
+    assert check_mutually_reduced(fams, 5).holds
 
 
 def test_witness_counts_stable_letters(p_fh):

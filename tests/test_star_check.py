@@ -484,6 +484,42 @@ def test_find_relation_matches_recursive_reference():
     assert found > 50
 
 
+def test_find_relation_multiplies_each_prefix_once():
+    # the visited prefixes of a limit include those of every shorter limit,
+    # so with products kept across limits the search multiplies exactly as
+    # often as the last limit alone visits prefixes
+    class Counting(FreeGroupOps):
+        calls = 0
+
+        def multiply(self, g, h):
+            Counting.calls += 1
+            return super().multiply(g, h)
+
+    ops = FreeGroupOps(AB)
+
+    def spent(elements, max_len):
+        # least budget the search completes within: the prefixes it visits
+        lo, hi = 0, 10**6
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                find_relation(ops, elements, max_len, mid)
+                hi = mid
+            except BudgetExceeded:
+                lo = mid + 1
+        return lo
+
+    for texts in (("a b", "b a"), ("a b a", "b^-1"), ("a", "b", "a b a^-1 b^-1")):
+        elements = [w(t) for t in texts]
+        Counting.calls = 0
+        relation = find_relation(Counting(AB), elements, 5)
+        assert relation == find_relation(ops, elements, 5)
+        if relation is None:
+            assert Counting.calls == spent(elements, 5) - spent(elements, 4)
+        else:
+            assert Counting.calls < spent(elements, 5)
+
+
 def test_find_relation_leaves_no_garbage():
     ops = FreeGroupOps(AB)
     gc.disable()
