@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .elements import map_basis_coords, presentation_json, product_of
+from .elements import presentation_json, product_of
 from .errors import (
     AlphabetMismatch,
     AmbientMismatch,
@@ -50,7 +50,6 @@ from .errors import (
     NotFoundAtBound,
     ParseError,
     PreconditionViolated,
-    RedundantBasis,
     StructureMismatch,
     VariantMismatch,
 )
@@ -62,7 +61,7 @@ from .star_check import (
     free_generator_certificate,
     quotient_set,
 )
-from .subgroups import SubgroupAutomaton, _remember, displaces, from_generators
+from .subgroups import SubgroupAutomaton, aligned_bases, basis_image, displaces
 from .words import (
     Alphabet,
     Word,
@@ -108,24 +107,9 @@ class AmalgamPresentation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "h_a_basis", tuple(self.h_a_basis))
         object.__setattr__(self, "h_b_basis", tuple(self.h_b_basis))
-        if len(self.h_a_basis) != len(self.h_b_basis):
-            raise StructureMismatch(
-                "the amalgamated subgroup needs bases of equal size, got "
-                f"{len(self.h_a_basis)} and {len(self.h_b_basis)}"
-            )
-        for w, alphabet in (
-            *((w, self.factor_a) for w in self.h_a_basis),
-            *((w, self.factor_b) for w in self.h_b_basis),
-        ):
-            if w.alphabet.symbols != alphabet.symbols:
-                raise AlphabetMismatch("basis word alphabet differs from its factor")
-        h_in_a = from_generators(self.factor_a, self.h_a_basis)
-        h_in_b = from_generators(self.factor_b, self.h_b_basis)
-        for sub, basis in ((h_in_a, self.h_a_basis), (h_in_b, self.h_b_basis)):
-            if sub.rank != len(basis):
-                raise RedundantBasis(
-                    f"{len(basis)} generators span a subgroup of rank {sub.rank}"
-                )
+        h_in_a, h_in_b = aligned_bases(
+            self.factor_a, self.h_a_basis, self.factor_b, self.h_b_basis
+        )
         object.__setattr__(self, "h_in_a", h_in_a)
         object.__setattr__(self, "h_in_b", h_in_b)
         # the identity in A letters, the trivial H-part every product starts from
@@ -137,10 +121,10 @@ class AmalgamPresentation:
     # -- the identification H_in_A <-> H_in_B ------------------------------
 
     def to_b_side(self, h_word: Word) -> Word:
-        return _translate(self._to_b, self.h_in_a, self.factor_b, self.h_b_basis, h_word)
+        return basis_image(self._to_b, self.h_in_a, self.factor_b, self.h_b_basis, h_word)
 
     def to_a_side(self, h_word: Word) -> Word:
-        return _translate(self._to_a, self.h_in_b, self.factor_a, self.h_a_basis, h_word)
+        return basis_image(self._to_a, self.h_in_b, self.factor_a, self.h_a_basis, h_word)
 
     def alphabet_of(self, tag: str) -> Alphabet:
         return self.factor_a if tag == TAG_A else self.factor_b
@@ -188,24 +172,6 @@ class AmalgamPresentation:
                     f"{key} list does not match its column of the iso pairs"
                 )
         return p
-
-
-def _translate(
-    memo: dict,
-    sub: SubgroupAutomaton,
-    alphabet: Alphabet,
-    basis: tuple[Word, ...],
-    h_word: Word,
-) -> Word:
-    """The image of h_word, expressed in sub's basis, as the same product of
-    basis, a word over alphabet; memo keeps images by letters."""
-    image = memo.get(h_word.letters)
-    if image is None:
-        coords = sub.express(h_word)
-        if coords is None:
-            raise PreconditionViolated(f"{h_word} is not in the amalgamated subgroup")
-        image = _remember(memo, h_word.letters, map_basis_coords(alphabet, basis, coords))
-    return image
 
 
 def _generator_outside(alphabet: Alphabet, sub: SubgroupAutomaton, side: str) -> Word:

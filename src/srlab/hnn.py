@@ -5,7 +5,8 @@ alphabet, a fresh stable symbol t, and two subgroup automata A, B over the base
 together with an index-aligned basis bijection phi: the i-th basis word of A
 maps to the i-th basis word of B.  Both bases are required to be independent
 (RedundantBasis otherwise), so phi extends to an isomorphism A -> B and is
-computed by expressing a member in A's basis and mapping basis-wise.
+computed by expressing a member in A's basis and mapping basis-wise; the
+presentation memoizes the images of phi and phi^-1.
 
 Elements are kept in syllable form g0 t^{e1} g1 ... t^{en} gn.  Britton
 reduction removes pinches t^-1 g t (g in A) and t g t^-1 (g in B); the normal
@@ -37,18 +38,17 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .elements import map_basis_coords, presentation_json
+from .elements import presentation_json
 from .errors import (
     AlphabetMismatch,
     AmbientMismatch,
     BudgetExceeded,
     HypothesisViolation,
     PreconditionViolated,
-    RedundantBasis,
     StructureMismatch,
 )
 from .star_check import DEFAULT_EXPANSION_BUDGET, ElementSet
-from .subgroups import SubgroupAutomaton, displaces, from_generators
+from .subgroups import SubgroupAutomaton, aligned_bases, basis_image, displaces
 from .words import (
     Alphabet,
     Word,
@@ -74,6 +74,13 @@ class HnnPresentation:
     a_sub: SubgroupAutomaton = field(init=False, repr=False, compare=False, hash=False)
     b_sub: SubgroupAutomaton = field(init=False, repr=False, compare=False, hash=False)
     full_alphabet: Alphabet = field(init=False, repr=False, compare=False, hash=False)
+    # phi and phi^-1 images, keyed by letters and capped like the express memo
+    _phi: dict = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
+    _phi_inv: dict = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a_basis", tuple(self.a_basis))
@@ -81,24 +88,7 @@ class HnnPresentation:
         # stable symbol freshness and validity both fall out of Alphabet checks
         full = Alphabet((*self.alphabet.symbols, self.stable))
         object.__setattr__(self, "full_alphabet", full)
-        if len(self.a_basis) != len(self.b_basis):
-            raise StructureMismatch(
-                "associated subgroup bases must have equal size, got "
-                f"{len(self.a_basis)} and {len(self.b_basis)}"
-            )
-        for w in (*self.a_basis, *self.b_basis):
-            if w.alphabet.symbols != self.alphabet.symbols:
-                raise AlphabetMismatch("basis word alphabet differs from base alphabet")
-        a_sub = from_generators(self.alphabet, self.a_basis)
-        b_sub = from_generators(self.alphabet, self.b_basis)
-        if a_sub.rank != len(self.a_basis):
-            raise RedundantBasis(
-                f"{len(self.a_basis)} generators span a subgroup of rank {a_sub.rank}"
-            )
-        if b_sub.rank != len(self.b_basis):
-            raise RedundantBasis(
-                f"{len(self.b_basis)} generators span a subgroup of rank {b_sub.rank}"
-            )
+        a_sub, b_sub = aligned_bases(self.alphabet, self.a_basis, self.alphabet, self.b_basis)
         object.__setattr__(self, "a_sub", a_sub)
         object.__setattr__(self, "b_sub", b_sub)
 
@@ -106,16 +96,10 @@ class HnnPresentation:
 
     def phi(self, w: Word) -> Word:
         """Image of a member of A under the basis bijection A -> B."""
-        coords = self.a_sub.express(w)
-        if coords is None:
-            raise PreconditionViolated(f"{w} is not in the first associated subgroup")
-        return map_basis_coords(self.alphabet, self.b_basis, coords)
+        return basis_image(self._phi, self.a_sub, self.alphabet, self.b_basis, w)
 
     def phi_inv(self, w: Word) -> Word:
-        coords = self.b_sub.express(w)
-        if coords is None:
-            raise PreconditionViolated(f"{w} is not in the second associated subgroup")
-        return map_basis_coords(self.alphabet, self.a_basis, coords)
+        return basis_image(self._phi_inv, self.b_sub, self.alphabet, self.a_basis, w)
 
     def in_associated(self, w: Word) -> bool:
         return self.a_sub.contains(w) or self.b_sub.contains(w)

@@ -9,11 +9,16 @@ so that equal constructions produce identical structures.
 Membership, intersection (product automaton), conjugation, shortlex coset
 representatives, and expression of members in a user-supplied independent
 basis are provided; the last is what lets HNN/amalgam isomorphisms be
-applied to arbitrary subgroup members.
+applied to arbitrary subgroup members.  Expression is exact and needs no
+search: folding the basis' petals with labelled edges (Stallings,
+Invent. Math. 71, 1983; Kapovich-Myasnikov, J. Algebra 248, 2002) gives each
+transition the basis word it reads, and a member's expression is the reduced
+product of the labels along its loop.
 
 Expression and both coset representatives are pure functions of a word's
 letters, and a presentation applies them to the same words again and again,
-so each automaton memoizes them.  A memo is emptied when it reaches
+so each automaton memoizes them, as basis_image memoizes the images of an
+isomorphism given by aligned bases.  A memo is emptied when it reaches
 MEMO_CAP entries, which bounds the memory of an automaton that outlives many
 computations.
 """
@@ -24,7 +29,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceeded, RedundantBasis
+from .elements import map_basis_coords
+from .errors import AlphabetMismatch, PreconditionViolated, RedundantBasis, StructureMismatch
 from .words import (
     Alphabet,
     Word,
@@ -35,12 +41,12 @@ from .words import (
     reduce_signed,
 )
 
-_EXPRESSION_BFS_BUDGET = 200_000
-
 # entries a memo of one automaton holds before it is emptied
 MEMO_CAP = 4096
 
 _MISSING = object()
+
+Label = tuple[int, ...]
 
 
 def _remember(memo: dict, key, value):
@@ -50,60 +56,120 @@ def _remember(memo: dict, key, value):
     return value
 
 
-def _fold(
-    num_states: int, edges: list[tuple[int, int, int]], base: int
-) -> tuple[list[dict[int, int]], int]:
-    """Identify states until no state has two edges with one signed label.
+def _inverse(label: Label) -> Label:
+    return tuple([-x for x in reversed(label)])
 
-    Edges are (u, signed letter, v) and may repeat; folding merges the
-    targets of equally labelled parallel edges until the automaton is
-    deterministic and co-deterministic.
+
+def _petals(gens: Iterable[Word]) -> tuple[int, list[tuple[int, int, int, Label]]]:
+    """One loop at state 0 per generator, as (state count, labelled edges).
+    The edge that closes the loop of the i-th generator is labelled (i,),
+    1-based, and every other edge (), so the loop reads its generator."""
+    edges: list[tuple[int, int, int, Label]] = []
+    num_states = 1
+    for i, g in enumerate(gens, 1):
+        prev = 0
+        for letter in g.letters[:-1]:
+            edges.append((prev, letter, num_states, ()))
+            prev = num_states
+            num_states += 1
+        if g.letters:
+            edges.append((prev, g.letters[-1], 0, (i,)))
+    return num_states, edges
+
+
+def _fold(
+    num_states: int, edges: list[tuple[int, int, int, Label]], base: int
+) -> tuple[list[dict[int, int]], int, list[dict[int, Label]]]:
+    """Identify states until no state has two edges with one signed letter.
+
+    Edges are (u, signed letter, v, label) and may repeat.  A label is a
+    reduced word over signed basis indices, read along the edge and
+    inverted against it.  Folding merges the targets of equally lettered
+    parallel edges until the automaton is deterministic and
+    co-deterministic, and the labels fold with it: a weighted union-find
+    keeps, for each merged state, the label offset from its parent, so
+    every path reads the label product it read before, taken from its
+    ends' roots.  A state folds into the lower-numbered one, so state 0
+    stays a root and the labels of a loop at state 0 are not conjugated.
+    Petal labels of an independent basis never conflict, so a member's
+    loop reads its one expression in that basis.
+
+    Returns the transitions, the base's new number, and the label of each
+    transition.
     """
     parent = list(range(num_states))
+    # offset[s] is the label of an empty path from parent[s] to s; a root's is ()
+    offset: list[Label] = [()] * num_states
 
     def find(x: int) -> int:
+        path = []
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
+            path.append(x)
             x = parent[x]
+        for y in reversed(path):  # nearest the root first
+            if parent[y] != x:
+                offset[y] = reduce_signed(offset[parent[y]] + offset[y])
+                parent[y] = x
         return x
 
-    adj: list[dict[int, set[int]]] = [dict() for _ in range(num_states)]
-    for u, letter, v in edges:
-        adj[u].setdefault(letter, set()).add(v)
-        adj[v].setdefault(-letter, set()).add(u)
+    # adj[s][letter] lists (v, label): an edge from s into the state v,
+    # labelled from s's root to v
+    adj: list[dict[int, list[tuple[int, Label]]]] = [dict() for _ in range(num_states)]
+    for u, letter, v, label in edges:
+        adj[u].setdefault(letter, []).append((v, label))
+        adj[v].setdefault(-letter, []).append((u, _inverse(label)))
 
-    queue: list[tuple[int, int]] = []
+    # (a, b, c): a and b are to be one state, and c labels an empty path from a to b
+    queue: list[tuple[int, int, Label]] = []
+
+    def onto_root(v: int, label: Label) -> tuple[int, Label]:
+        """v's root, and the label of an edge into v re-read to end there."""
+        root = find(v)
+        return root, reduce_signed(label + _inverse(offset[v]))
 
     def enqueue_conflicts(state: int) -> None:
         for letter, targets in adj[state].items():
-            roots = sorted({find(t) for t in targets})
-            adj[state][letter] = set(roots)
-            for other in roots[1:]:
-                queue.append((roots[0], other))
+            if len(targets) == 1:
+                continue
+            by_root: dict[int, Label] = {}
+            for v, label in targets:
+                root, label = onto_root(v, label)
+                by_root.setdefault(root, label)
+            adj[state][letter] = list(by_root.items())
+            (first, first_label), *others = adj[state][letter]
+            for other, label in others:
+                queue.append((first, other, reduce_signed(_inverse(first_label) + label)))
 
     for s in range(num_states):
         enqueue_conflicts(s)
     while queue:
-        a, b = queue.pop()
-        a, b = find(a), find(b)
-        if a == b:
+        a, b, c = queue.pop()
+        keep, drop = find(a), find(b)
+        if keep == drop:
             continue
-        keep, drop = (a, b) if a < b else (b, a)
+        c = reduce_signed(offset[a] + c + _inverse(offset[b]))
+        if keep > drop:
+            keep, drop, c = drop, keep, _inverse(c)
         parent[drop] = keep
+        offset[drop] = c
         for letter, targets in adj[drop].items():
-            adj[keep].setdefault(letter, set()).update(targets)
+            adj[keep].setdefault(letter, []).extend(
+                (v, reduce_signed(c + label)) for v, label in targets
+            )
         adj[drop] = {}
         enqueue_conflicts(keep)
 
     roots = sorted({find(s) for s in range(num_states)})
     renum = {r: i for i, r in enumerate(roots)}
     out: list[dict[int, int]] = [dict() for _ in roots]
+    labels: list[dict[int, Label]] = [dict() for _ in roots]
     for r in roots:
         for letter, targets in adj[r].items():
-            resolved = {find(t) for t in targets}
-            assert len(resolved) == 1
-            out[renum[r]][letter] = renum[resolved.pop()]
-    return out, renum[find(base)]
+            assert len({find(v) for v, _ in targets}) == 1
+            target, label = onto_root(*targets[0])
+            out[renum[r]][letter] = renum[target]
+            labels[renum[r]][letter] = label
+    return out, renum[find(base)], labels
 
 
 def _restrict_to_core(
@@ -185,20 +251,7 @@ class SubgroupAutomaton:
         for g in gens:
             if g.alphabet.symbols != alphabet.symbols:
                 raise ValueError("generator alphabet differs from subgroup alphabet")
-        edges: list[tuple[int, int, int]] = []
-        num_states = 1
-        for g in gens:
-            letters = g.letters
-            if not letters:
-                continue
-            prev = 0
-            for pos, letter in enumerate(letters):
-                nxt = 0 if pos == len(letters) - 1 else num_states
-                if nxt:
-                    num_states += 1
-                edges.append((prev, letter, nxt))
-                prev = nxt
-        delta, base = _fold(num_states, edges, 0)
+        delta, base, _ = _fold(*_petals(gens), 0)
         delta, base = _restrict_to_core(delta, base)
         delta = _canonical_renumber(delta, base)
         return SubgroupAutomaton(alphabet, tuple(delta), gens)
@@ -280,7 +333,7 @@ class SubgroupAutomaton:
         paths, non_tree = self._tree()
         out = []
         for u, letter, v in non_tree:
-            letters = paths[u] + (letter,) + tuple(-l for l in reversed(paths[v]))
+            letters = paths[u] + (letter,) + _inverse(paths[v])
             out.append(Word(self.alphabet, reduce_signed(letters)))
         return tuple(out)
 
@@ -343,24 +396,38 @@ class SubgroupAutomaton:
             return None
         return reduce_signed(out)
 
-    def _user_translation(self) -> list[tuple[int, ...]]:
-        """For each automaton-basis element, an expression over the user basis
-        (signed 1-based indices into self.basis).  Requires independence."""
-        if "user_translation" in self._cache:
-            return self._cache["user_translation"]
-        k = len(self.basis)
-        if self.rank != k:
-            raise RedundantBasis(
-                f"{k} generators span a subgroup of rank {self.rank}"
-            )
-        gen_exprs = []
-        for g in self.basis:
-            expr = self.express_automaton(g)
-            assert expr is not None
-            gen_exprs.append(expr)
-        translation = _invert_generating_tuple(gen_exprs, self.rank)
-        self._cache["user_translation"] = translation
-        return translation
+    def _basis_labels(self) -> list[dict[int, Label]]:
+        """Per state, letter -> the word over the stored basis (signed 1-based
+        indices) that the transition reads.  The basis' petals are folded
+        with labels and matched onto delta by reading the same letters from
+        the base; StructureMismatch when the basis does not generate the
+        automaton's subgroup.  The labels express members only when the
+        basis is independent."""
+        labels = self._cache.get("basis_labels")
+        if labels is not None:
+            return labels
+        folded, _, folded_labels = _fold(*_petals(self.basis), 0)
+        labels = [dict() for _ in self.delta]
+        mismatch = StructureMismatch("the basis does not generate the automaton")
+        match = {0: 0}  # folded state -> state
+        stack = [0]
+        while stack:
+            f = stack.pop()
+            s = match[f]
+            if folded[f].keys() != self.delta[s].keys():
+                raise mismatch
+            for letter, t in self.delta[s].items():
+                labels[s][letter] = folded_labels[f][letter]
+                ft = folded[f][letter]
+                if ft not in match:
+                    match[ft] = t
+                    stack.append(ft)
+                elif match[ft] != t:
+                    raise mismatch
+        if len(match) != len(self.delta):
+            raise mismatch
+        self._cache["basis_labels"] = labels
+        return labels
 
     def express(self, w: Word) -> tuple[int, ...] | None:
         """w as a reduced word over the user basis (signed 1-based indices),
@@ -370,16 +437,21 @@ class SubgroupAutomaton:
         coords = memo.get(w.letters, _MISSING)
         if coords is not _MISSING:
             return coords
-        auto_expr = self.express_automaton(w)
-        if auto_expr is None:
-            return _remember(memo, w.letters, None)
-        translation = self._user_translation()
+        labels = self._basis_labels()
+        state = 0
         out: list[int] = []
-        for e in auto_expr:
-            piece = translation[abs(e) - 1]
-            if e < 0:
-                piece = tuple(-x for x in reversed(piece))
-            out.extend(piece)
+        for letter in w.letters:
+            nxt = self.delta[state].get(letter)
+            if nxt is None:
+                return _remember(memo, w.letters, None)
+            out += labels[state][letter]
+            state = nxt
+        if state != 0:
+            return _remember(memo, w.letters, None)
+        if self.rank != len(self.basis):
+            raise RedundantBasis(
+                f"{len(self.basis)} generators span a subgroup of rank {self.rank}"
+            )
         return _remember(memo, w.letters, reduce_signed(out))
 
     # -- serialization ------------------------------------------------------
@@ -406,12 +478,14 @@ class SubgroupAutomaton:
     def from_json(text: str) -> "SubgroupAutomaton":
         data = json.loads(text)
         alphabet = Alphabet(tuple(data["alphabet"]))
-        edges = [(u, alphabet.index_of(sym), v) for u, sym, v in data["edges"]]
-        delta, base = _fold(data["states"], edges, data["base"])
+        edges = [(u, alphabet.index_of(sym), v, ()) for u, sym, v in data["edges"]]
+        delta, base, _ = _fold(data["states"], edges, data["base"])
         delta, base = _restrict_to_core(delta, base)
         delta = _canonical_renumber(delta, base)
         basis = tuple(parse_word(alphabet, b) for b in data["basis"])
-        return SubgroupAutomaton(alphabet, tuple(delta), basis)
+        h = SubgroupAutomaton(alphabet, tuple(delta), basis)
+        h._basis_labels()  # refuses a basis that does not generate the automaton
+        return h
 
     # -- member enumeration ---------------------------------------------------
 
@@ -495,89 +569,46 @@ def subgroup_equal(h1: SubgroupAutomaton, h2: SubgroupAutomaton) -> bool:
     )
 
 
-def _invert_generating_tuple(
-    gens: list[tuple[int, ...]], rank: int
-) -> list[tuple[int, ...]]:
-    """Given k = rank words over an ambient free group F_rank that generate all
-    of it, return for each ambient basis letter y_l an expression over the
-    given words (signed 1-based indices).  Greedy Nielsen reduction with
-    mirrored bookkeeping, then a breadth-first fallback for what remains."""
-    u = [tuple(g) for g in gens]
-    v: list[tuple[int, ...]] = [(i + 1,) for i in range(len(gens))]
-
-    def mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        return reduce_signed(x + y)
-
-    def inv(x: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(-l for l in reversed(x))
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(u)):
-            if not u[i]:
-                raise RedundantBasis("a generator collapses to the identity")
-            for j in range(len(u)):
-                if i == j:
-                    continue
-                for uj, vj in ((u[j], v[j]), (inv(u[j]), inv(v[j]))):
-                    right = mul(u[i], uj)
-                    if len(right) < len(u[i]):
-                        u[i], v[i] = right, mul(v[i], vj)
-                        changed = True
-                        continue
-                    left = mul(uj, u[i])
-                    if len(left) < len(u[i]):
-                        u[i], v[i] = left, mul(vj, v[i])
-                        changed = True
-
-    translation: list[tuple[int, ...] | None] = [None] * rank
-    for ui, vi in zip(u, v):
-        if len(ui) == 1:
-            letter = ui[0]
-            idx = abs(letter) - 1
-            if translation[idx] is None:
-                translation[idx] = vi if letter > 0 else inv(vi)
-    missing = [l for l in range(rank) if translation[l] is None]
-    if missing:
-        _bfs_expressions(u, v, translation, missing, mul, inv)
-    return [t for t in translation]  # type: ignore[misc]
+def aligned_bases(
+    a_alphabet: Alphabet,
+    a_basis: tuple[Word, ...],
+    b_alphabet: Alphabet,
+    b_basis: tuple[Word, ...],
+) -> tuple[SubgroupAutomaton, SubgroupAutomaton]:
+    """The automata of two index-aligned bases, whose i-th words correspond.
+    The bases must have one size (StructureMismatch), lie over their
+    alphabets (AlphabetMismatch) and be independent (RedundantBasis), so
+    that the alignment extends to an isomorphism of the subgroups."""
+    if len(a_basis) != len(b_basis):
+        raise StructureMismatch(
+            f"aligned bases must have equal size, got {len(a_basis)} and {len(b_basis)}"
+        )
+    sides = ((a_alphabet, a_basis), (b_alphabet, b_basis))
+    for alphabet, basis in sides:
+        if any(w.alphabet.symbols != alphabet.symbols for w in basis):
+            raise AlphabetMismatch("basis word alphabet differs from its group's alphabet")
+    subs = tuple(from_generators(alphabet, basis) for alphabet, basis in sides)
+    for sub, (_, basis) in zip(subs, sides):
+        if sub.rank != len(basis):
+            raise RedundantBasis(f"{len(basis)} generators span a subgroup of rank {sub.rank}")
+    return subs
 
 
-def _bfs_expressions(u, v, translation, missing, mul, inv) -> None:
-    """Breadth-first search over products of the generators for the missing
-    ambient letters; complete in principle, budgeted in practice."""
-    targets = {(-(l + 1),): l for l in missing} | {(l + 1,): l for l in missing}
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
-    frontier = [()]
-    expanded = 0
-    want = set(missing)
-    steps = [(ui, vi) for ui, vi in zip(u, v)] + [
-        (inv(ui), inv(vi)) for ui, vi in zip(u, v)
-    ]
-    while frontier and want:
-        next_frontier = []
-        for word in frontier:
-            expr = seen[word]
-            for ui, vi in steps:
-                expanded += 1
-                if expanded > _EXPRESSION_BFS_BUDGET:
-                    raise BudgetExceeded(
-                        "basis-inversion search exceeded its node budget"
-                    )
-                nxt = mul(word, ui)
-                if nxt in seen:
-                    continue
-                nexpr = mul(expr, vi)
-                seen[nxt] = nexpr
-                hit = targets.get(nxt)
-                if hit is not None and hit in want:
-                    letter = nxt[0]
-                    translation[hit] = nexpr if letter > 0 else inv(nexpr)
-                    want.discard(hit)
-                    if not want:
-                        return
-                next_frontier.append(nxt)
-        frontier = next_frontier
-    if want:
-        raise RedundantBasis("generators do not span the subgroup independently")
+def basis_image(
+    memo: dict,
+    sub: SubgroupAutomaton,
+    alphabet: Alphabet,
+    basis: tuple[Word, ...],
+    w: Word,
+) -> Word:
+    """The image of w, a member of sub, under the isomorphism that sends the
+    i-th word of sub's basis to basis[i]: the same product of basis, a word
+    over alphabet.  memo keeps images by letters, capped like the express
+    memo; a non-member raises PreconditionViolated."""
+    image = memo.get(w.letters)
+    if image is None:
+        coords = sub.express(w)
+        if coords is None:
+            raise PreconditionViolated(f"{w} is not in the subgroup the isomorphism maps")
+        image = _remember(memo, w.letters, map_basis_coords(alphabet, basis, coords))
+    return image

@@ -277,6 +277,12 @@ def test_subgroup_member_coordinates_recompose(capsys):
     assert acc == parse_word(alphabet, "a a b a")
 
 
+def test_subgroup_member_in_a_basis_without_a_greedy_inversion(capsys):
+    gens = "b^-3 a^-1 b; b^-2 a^-1 b a^-1; a b^-1 a b^-1 a^-1 b^-2; a^-1 b^-1 a b^2"
+    code, payload = run_json(capsys, "subgroup", "member", "--gens", gens, "b^-3 a^-1 b")
+    assert code == 0 and payload["member"] and payload["coordinates"] == [1]
+
+
 def test_subgroup_non_member_exit_1(capsys):
     code, payload = run_json(capsys, "subgroup", "member", "--gens", "a a", "a")
     assert code == 1

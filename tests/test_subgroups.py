@@ -1,10 +1,12 @@
 import itertools
+import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from srlab.errors import RedundantBasis
+from srlab.elements import map_basis_coords
+from srlab.errors import RedundantBasis, StructureMismatch
 from srlab.subgroups import (
     SubgroupAutomaton,
     conjugate_subgroup,
@@ -224,6 +226,8 @@ class TestMemos:
         ("a b a^-1",),
         ("a^2", "b^2", "a b a^-1 b"),
         ("b a^-1 b^-1", "a b a"),
+        # an independent basis whose expression no greedy Nielsen pass finds
+        ("b^-3 a^-1 b", "b^-2 a^-1 b a^-1", "a b^-1 a b^-1 a^-1 b^-2", "a^-1 b^-1 a b^2"),
     ]
 
     def test_memoized_maps_match_fresh_automaton(self):
@@ -284,6 +288,20 @@ class TestSerialization:
         assert h2.delta == h.delta
         assert subgroup_equal(h, h2)
 
+    @pytest.mark.parametrize(
+        "gens, basis",
+        [
+            ("a", ["a^2"]),  # a proper subgroup of the same rank
+            ("a", ["b"]),  # a word outside the subgroup
+            ("a b", []),  # no basis for a nontrivial subgroup
+        ],
+    )
+    def test_rejects_a_basis_that_does_not_generate(self, gens, basis):
+        data = json.loads(sub(gens).to_json())
+        data["basis"] = basis
+        with pytest.raises(StructureMismatch):
+            SubgroupAutomaton.from_json(json.dumps(data))
+
 
 @st.composite
 def subgroup_st(draw):
@@ -311,6 +329,34 @@ def test_automaton_basis_generates(h):
         assert h.contains(b)
     regrown = from_generators(AB, basis)
     assert subgroup_equal(regrown, h)
+
+
+@st.composite
+def long_generators_st(draw):
+    """One to four reduced words of up to 9 letters: their folds merge
+    states that were merged before, which subgroup_st's short words rarely do."""
+    signed = st.sampled_from((1, -1, 2, -2))
+    raw = st.lists(signed, min_size=1, max_size=9).map(reduce_signed).filter(bool)
+    return from_generators(AB, [Word(AB, g) for g in draw(st.lists(raw, min_size=1, max_size=4))])
+
+
+@st.composite
+def basis_coords_st(draw):
+    """An independent basis and a reduced word over it."""
+    h = draw(subgroup_st() | long_generators_st())
+    assume(h.rank == len(h.basis))
+    k = len(h.basis)
+    signed = st.integers(1, k) | st.integers(-k, -1)
+    return h, reduce_signed(draw(st.lists(signed, max_size=8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(basis_coords_st())
+# its fold merges a state into one that was merged before
+@example((sub("b a^2", "b a b^-1"), (-1,)))
+def test_expression_is_the_unique_reduced_word(case):
+    h, coords = case
+    assert h.express(map_basis_coords(AB, h.basis, coords)) == coords
 
 
 def test_folded_invariant():
