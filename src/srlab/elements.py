@@ -12,7 +12,10 @@ Requirements on an ops object:
 - elements are canonical values: equal group elements compare and hash
   equal, so they can key dictionaries;
 - ``size`` is subadditive (size(g*h) <= size(g) + size(h)), invariant
-  under inversion, and zero exactly on the identity.
+  under inversion, and zero exactly on the identity;
+- the ops object itself is hashable and weakly referenceable, and equals
+  only an ops that computes the same results: the mutual-reduction checker
+  keeps its memo of verdicts per ops.
 """
 
 from __future__ import annotations

@@ -28,6 +28,16 @@ The expansion budget counts enumeration steps (visited prefixes), not
 products computed, so a reused product spends as much budget as a new one
 and the point where the budget runs out does not depend on the tables.
 
+The experiments check the same hypotheses again and again, often on
+identical sets, so each completed check is remembered: its verdict and the
+budget it spent, keyed by the bound and the members of each set in order, in a
+memo that belongs to the ops object (held weakly, so it dies with the
+ops) and is emptied when it reaches a cap.  A repeated check replays the
+spent budget against the new one instead of searching: the search spends
+one unit per visited prefix in a fixed order, so it runs out exactly when
+the replay does, with the same BudgetExceeded.  A check that ran out is
+not remembered.
+
 Adjacency is tested by membership: a pair is blocked when some closure
 contains both factors, regardless of which set each factor was chosen
 from.  An element may belong to several closures.
@@ -35,6 +45,7 @@ from.  An element may belong to several closures.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -46,6 +57,11 @@ HOLDS = "HoldsUpToBound"
 COUNTEREXAMPLE = "Counterexample"
 
 DEFAULT_EXPANSION_BUDGET = 10_000_000
+
+# completed check verdicts and the budget each spent, one memo per ops object;
+# a memo dies with its ops and is emptied when it holds _VERDICT_CAP entries
+_VERDICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_VERDICT_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -243,6 +259,23 @@ def check_mutually_reduced(
     if not sets:
         return MutualVerdict(HOLDS, max_len, None)
     ops = _same_ops(sets)
+    memo = _VERDICTS.setdefault(ops, {})
+    key = (max_len, tuple(s.members for s in sets))
+    known = memo.get(key)
+    if known is not None:
+        verdict, spent = known
+        # raises exactly when the search would have run out, with its message
+        _Budget(expansion_budget).spend(spent)
+        return verdict
+    budget = _Budget(expansion_budget)
+    verdict = _search(sets, ops, max_len, budget)
+    if len(memo) >= _VERDICT_CAP:
+        memo.clear()
+    memo[key] = (verdict, budget.total - budget.left)
+    return verdict
+
+
+def _search(sets, ops, max_len, budget) -> MutualVerdict:
     closures = [symmetric_closure(s).members for s in sets]
     universe = sorted(
         {g for c in closures for g in c}, key=lambda g: (ops.size(g), ops.fmt(g))
@@ -256,7 +289,6 @@ def check_mutually_reduced(
     flip = [position[ops.invert(g)] for g in universe]
     max_size = max(ops.size(g) for g in universe)
     products = {(): (ops.identity_element(), 0)}
-    budget = _Budget(expansion_budget)
     for k in range(2, max_len + 1):
         witness = _search_length(
             k, universe, masks, flip, max_size, products, ops, budget

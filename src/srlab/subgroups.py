@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .elements import map_basis_coords
-from .errors import AlphabetMismatch, PreconditionViolated, RedundantBasis, StructureMismatch
+from .errors import (
+    AlphabetMismatch,
+    ParseError,
+    PreconditionViolated,
+    RedundantBasis,
+    StructureMismatch,
+)
 from .words import (
     Alphabet,
     Word,
@@ -476,10 +482,26 @@ class SubgroupAutomaton:
 
     @staticmethod
     def from_json(text: str) -> "SubgroupAutomaton":
+        """Parse to_json output; a state id outside range(states), or an
+        edge that is not a [state, symbol, state] triple, is a ParseError."""
         data = json.loads(text)
         alphabet = Alphabet(tuple(data["alphabet"]))
-        edges = [(u, alphabet.index_of(sym), v, ()) for u, sym, v in data["edges"]]
-        delta, base, _ = _fold(data["states"], edges, data["base"])
+        states = data["states"]
+        if type(states) is not int or states < 0:
+            raise ParseError(f"states must be a non-negative integer, got {states!r}")
+
+        def state(v, what: str) -> int:
+            if type(v) is not int or not 0 <= v < states:
+                raise ParseError(f"{what} state {v!r} is not in range({states})")
+            return v
+
+        edges = []
+        for e in data["edges"]:
+            if not isinstance(e, list) or len(e) != 3:
+                raise ParseError(f"edge {e!r} is not a [state, symbol, state] triple")
+            u, sym, v = e
+            edges.append((state(u, "edge"), alphabet.index_of(sym), state(v, "edge"), ()))
+        delta, base, _ = _fold(states, edges, state(data["base"], "base"))
         delta, base = _restrict_to_core(delta, base)
         delta = _canonical_renumber(delta, base)
         basis = tuple(parse_word(alphabet, b) for b in data["basis"])

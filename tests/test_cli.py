@@ -7,7 +7,13 @@ import pytest
 
 from srlab.cli import RunConfig, main
 from srlab.sr_graph import SRCycle, graph_from_json, verify_cycle
-from srlab.star_check import ElementSet, verify_mutual_witness
+from srlab import star_check
+from srlab.star_check import (
+    ElementSet,
+    check_mutually_reduced,
+    conjugate_set,
+    verify_mutual_witness,
+)
 from srlab.words import Alphabet, parse_word
 from srlab.elements import FreeGroupOps
 
@@ -354,6 +360,25 @@ def test_star_witness_free(capsys):
     assert payload["status"] == "HoldsUpToBound"
     assert len(payload["witnesses"]) == 3
     assert payload["bound"] == 4
+
+
+def test_witness_report_refuses_overlapping_copies(capsys, monkeypatch):
+    # the copies of {a, b a b^-1} by a b and b a b both hold b^-1 a b, so
+    # (b^-1 a b)(b^-1 a^-1 b) = 1 mixes two copies; the check alone passes
+    ab = Alphabet(("a", "b"))
+    m = ElementSet.of(FreeGroupOps(ab), [parse_word(ab, "a"), parse_word(ab, "b a b^-1")])
+    xs = tuple(parse_word(ab, t) for t in ("a b", "b a b", "b b a"))
+    copies = [conjugate_set(m, x) for x in xs]
+    assert parse_word(ab, "b^-1 a b") in copies[0].members & copies[1].members
+    assert check_mutually_reduced(copies, 6).holds
+    monkeypatch.setattr(star_check, "star_witness_locally_free", lambda m, x, y: xs)
+    assert main(["star", "witness-free", "--set", "{a, b a b^-1}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "conjugated copies 1 and 2 share b^-1 a b" in err
+    monkeypatch.undo()
+    assert main(["star", "witness-free", "--set", "{a, b a b^-1}"]) == 0
+    capsys.readouterr()
 
 
 # -- hnn ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srlab import star_check
 from srlab.elements import FreeGroupOps, product_of
 from srlab.errors import BudgetExceeded, EmptySet, StructureMismatch
 from srlab.star_check import (
@@ -260,8 +262,89 @@ def test_check_leaves_no_garbage():
         assert verdict.status == COUNTEREXAMPLE
         assert len(verdict.witness) == 4
         assert gc.collect() == 0
+        assert check_mutually_reduced(sets, 5) == verdict  # from the memo
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _no_search(*args):
+    raise AssertionError("a remembered check searched again")
+
+
+def test_remembered_verdict_equals_the_search(monkeypatch):
+    # every brute-force family at every bound, first searched with an empty
+    # memo, then all through one memo, then all again with the search
+    # disabled: each repeat is read from the memo holding every other entry
+    families = [_random_family(random.Random(314)) for _ in range(60)]
+    rng = random.Random(2718)
+    families += [_shared_family(rng) for _ in range(40)]
+    checks = [(sets, k) for sets in families if sets for k in range(2, 6)]
+    cold = []
+    for sets, k in checks:
+        star_check._VERDICTS.clear()
+        cold.append(check_mutually_reduced(sets, k))
+    star_check._VERDICTS.clear()
+    assert [check_mutually_reduced(sets, k) for sets, k in checks] == cold
+    monkeypatch.setattr(star_check, "_search", _no_search)
+    assert [check_mutually_reduced(sets, k) for sets, k in checks] == cold
+    assert [v.bound for v in cold] == [k for _, k in checks]
+    assert sum(v.status == COUNTEREXAMPLE for v in cold) >= 30
+
+
+def test_remembered_check_repeats_without_searching(monkeypatch):
+    sets = [es("a b"), es("b a"), es("a b a")]
+    first = [check_mutually_reduced(sets, k) for k in range(2, 6)]
+    monkeypatch.setattr(star_check, "_search", _no_search)
+    # equal sets built afresh, over an equal ops, find the same entries
+    again = [es("a b"), es("b a"), es("a b a")]
+    assert [check_mutually_reduced(again, k) for k in range(2, 6)] == first
+    with pytest.raises(AssertionError):
+        check_mutually_reduced(again[::-1], 5)  # set order is part of the key
+
+
+@pytest.mark.parametrize("first_budget", [264, 263])
+def test_budget_pin_holds_on_a_warm_memo(first_budget):
+    # 264 is the least budget that completes this check, whether the check
+    # searches or replays a remembered search's spending
+    sets = [es("a^2 b a^2"), es("a^3 b a^3"), es("b a b^-1")]
+    messages = []
+    for budget in (first_budget, 264, 263, 264, 263):
+        try:
+            assert check_mutually_reduced(sets, 5, expansion_budget=budget).holds
+            assert budget == 264
+        except BudgetExceeded as exc:
+            assert budget == 263
+            messages.append(str(exc))
+    assert messages == [
+        "mutual-reduction search exceeded expansion budget 263"
+    ] * len(messages)
+    # a check that ran out is not remembered
+    (memo,) = star_check._VERDICTS.values()
+    assert list(memo.values()) == [(check_mutually_reduced(sets, 5), 264)]
+
+
+def test_memo_dies_with_its_ops():
+    ops = FreeGroupOps(Alphabet(("p", "q")))
+    sets = [ElementSet.of(ops, [parse_word(ops.alphabet, t)]) for t in ("p q", "q p")]
+    check_mutually_reduced(sets, 4)
+    assert len(star_check._VERDICTS) == 1
+    gone = weakref.ref(ops)
+    del ops, sets
+    gc.collect()
+    assert gone() is None
+    assert len(star_check._VERDICTS) == 0
+
+
+def test_memo_is_emptied_at_its_cap(monkeypatch):
+    monkeypatch.setattr(star_check, "_VERDICT_CAP", 3)
+    sets = [es("a b"), es("b a")]
+    for max_len in (2, 3, 4):
+        check_mutually_reduced(sets, max_len)
+    (memo,) = star_check._VERDICTS.values()
+    assert sorted(k[0] for k in memo) == [2, 3, 4]
+    check_mutually_reduced(sets, 5)
+    assert [k[0] for k in memo] == [5]
 
 
 def test_verify_rejects_tampering():

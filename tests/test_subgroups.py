@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from srlab.elements import map_basis_coords
-from srlab.errors import RedundantBasis, StructureMismatch
+from srlab.errors import ParseError, RedundantBasis, StructureMismatch
 from srlab.subgroups import (
     SubgroupAutomaton,
     conjugate_subgroup,
@@ -300,6 +300,30 @@ class TestSerialization:
         data = json.loads(sub(gens).to_json())
         data["basis"] = basis
         with pytest.raises(StructureMismatch):
+            SubgroupAutomaton.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"edges": [[0, "a", 3]]},  # a target past the last state
+            {"edges": [[0, "a", -1]]},  # a negative id, not the last state
+            {"edges": [[-3, "a", 0]]},
+            {"edges": [[0, "a", True]]},  # a boolean is not a state id
+            {"edges": [[0, "a", 1.0]]},
+            {"edges": [[0, "a"]]},  # not a triple
+            {"edges": [[0, "a", 1, "b"]]},
+            {"edges": ["0 a 1"]},
+            {"base": 3},
+            {"base": -1},
+            {"states": -1},
+            {"states": "3"},
+        ],
+    )
+    def test_rejects_a_state_outside_the_automaton(self, change):
+        data = json.loads(sub("a b", "b a").to_json())
+        data["edges"] += change.pop("edges", [])
+        data.update(change)
+        with pytest.raises(ParseError):
             SubgroupAutomaton.from_json(json.dumps(data))
 
 
