@@ -35,7 +35,6 @@ from .errors import (
     NonCompleteEComponent,
     NotFoundAtBound,
     ParseError,
-    PreconditionViolated,
     SrlabError,
     StructureMismatch,
 )
@@ -193,26 +192,10 @@ def _mutual_report(cfg: RunConfig, verdict, ops, extra: dict) -> int:
 
 
 def _witness_report(cfg: RunConfig, m, xs) -> int:
-    """Check the conjugates of m by the witness triple xs for mutual
-    reduction at the run's product bound, and report the verdict.
-
-    The check blocks two adjacent factors when one closure holds both,
-    whichever copy each was drawn from, so its verdict certifies condition
-    (*) for the triple only when the copies' symmetric closures are pairwise
-    disjoint; copies that share an element are a precondition failure."""
+    """Check the conjugates of m by the witness triple xs at the run's
+    product bound, refusing copies that overlap, and report the verdict."""
     from . import star_check as sc
-    fams = [sc.conjugate_set(m, x) for x in xs]
-    closures = [sc.symmetric_closure(f) for f in fams]
-    for i, first in enumerate(closures):
-        for j in range(i + 1, len(closures)):
-            shared = next((g for g in first if g in closures[j]), None)
-            if shared is not None:
-                raise PreconditionViolated(
-                    f"conjugated copies {i + 1} and {j + 1} share "
-                    f"{m.ops.fmt(shared)}, so a mutual-reduction check "
-                    "cannot certify the triple"
-                )
-    verdict = sc.check_mutually_reduced(fams, cfg.max_product_len, cfg.expansion_budget)
+    verdict = sc.check_conjugated_copies(m, xs, cfg.max_product_len, cfg.expansion_budget)
     return _mutual_report(cfg, verdict, m.ops, {"witnesses": [m.ops.fmt(x) for x in xs]})
 
 

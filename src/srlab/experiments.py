@@ -68,7 +68,7 @@ from .sr_graph import (
 )
 from .star_check import (
     ElementSet,
-    check_mutually_reduced,
+    check_conjugated_copies,
     conjugate_set,
     quotient_set,
     star_witness_locally_free,
@@ -392,8 +392,7 @@ def witness_sweep_report(
     for _ in range(count):
         m = ElementSet.of(ops, rng.sample(pool, rng.randint(1, max_set_size)))
         xs = star_witness_locally_free(m, "a", "b")
-        fams = [conjugate_set(m, x) for x in xs]
-        if not check_mutually_reduced(fams, check_len).holds:
+        if not check_conjugated_copies(m, xs, check_len).holds:
             failures.append(sorted(str(v) for v in m.elements))
     return {
         "kind": "conjugator-witness-sweep",
@@ -493,8 +492,7 @@ def hnn_witness_report(count: int = 20, seed: int = 0, check_len: int = 4) -> di
         h = find_word_outside(p, max_len=4)
         m = hnn_element_set(p, rng.sample(("a", "a h", "h a^-1"), rng.randint(1, 2)))
         xs = star_witness_hnn(p, m, g, h)
-        fams = [conjugate_set(m, x) for x in xs]
-        if not check_mutually_reduced(fams, check_len).holds:
+        if not check_conjugated_copies(m, xs, check_len).holds:
             failures.append(
                 {
                     "presentation": p.to_json(),
@@ -626,8 +624,7 @@ def amalgam_witness_report(
         members = rng.sample(pool, rng.randint(1, 2))
         m = ElementSet.of(AmalgamOps(p), members)
         xs = star_witness_amalgam(p, m)
-        fams = [conjugate_set(m, x) for x in xs]
-        if not check_mutually_reduced(fams, check_len).holds:
+        if not check_conjugated_copies(m, xs, check_len).holds:
             failures.append(
                 {
                     "presentation": name,

@@ -42,12 +42,11 @@ from .elements import presentation_json
 from .errors import (
     AlphabetMismatch,
     AmbientMismatch,
-    BudgetExceeded,
     HypothesisViolation,
     PreconditionViolated,
     StructureMismatch,
 )
-from .star_check import DEFAULT_EXPANSION_BUDGET, ElementSet
+from .star_check import DEFAULT_EXPANSION_BUDGET, ElementSet, _Budget
 from .subgroups import SubgroupAutomaton, aligned_bases, basis_image, displaces
 from .words import (
     Alphabet,
@@ -252,21 +251,11 @@ def hnn_concat(u: HnnWord, v: HnnWord) -> HnnWord:
     return HnnWord(u.g0, merged + v.syllables)
 
 
-class _PhiBudget:
-    """Letter budget for phi images; shared across one reduction call."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, left: int) -> None:
-        self.left = left
-
-    def spend(self, amount: int) -> None:
-        self.left -= amount
-        if self.left < 0:
-            raise BudgetExceeded(
-                "isomorphism application budget exhausted; the presentation "
-                "expands too fast at this word (raise the expansion budget)"
-            )
+# the BudgetExceeded message of a letter budget for phi images (one per reduction)
+_PHI_EXHAUSTED = (
+    "isomorphism application budget exhausted; the presentation "
+    "expands too fast at this word (raise the expansion budget)"
+)
 
 
 def _pinch_image(p: HnnPresentation, eps: int, g: Word) -> Word | None:
@@ -291,10 +280,10 @@ def britton_reduce(
     Each pinch deletes two stable letters, so this terminates; the budget
     bounds the total length of phi images produced along the way.
     """
-    return _britton(p, w, _PhiBudget(budget))
+    return _britton(p, w, _Budget(budget, _PHI_EXHAUSTED))
 
 
-def _britton(p: HnnPresentation, w: HnnWord, budget: _PhiBudget) -> HnnWord:
+def _britton(p: HnnPresentation, w: HnnWord, budget: _Budget) -> HnnWord:
     g0 = w.g0
     stack: list[tuple[int, Word]] = []
     for eps, g in w.syllables:
@@ -324,7 +313,7 @@ def normal_form(
     Equal group elements produce identical normal forms; the head g0 absorbs
     everything that commutes out.
     """
-    tracker = _PhiBudget(budget)
+    tracker = _Budget(budget, _PHI_EXHAUSTED)
     w = _britton(p, w, tracker)
     return _coset_pass(p, w.g0, list(w.syllables), (), tracker, False)
 
@@ -334,7 +323,7 @@ def _coset_pass(
     g0: Word,
     sylls: list[tuple[int, Word]],
     settled: tuple[tuple[int, Word], ...],
-    tracker: _PhiBudget,
+    tracker: _Budget,
     canonical_left: bool,
 ) -> HnnWord:
     """Make the Britton-reduced sylls coset representatives, right to left,
@@ -366,7 +355,7 @@ def _coset_pass(
 
 
 def _seam_product(
-    p: HnnPresentation, u: HnnWord, v: HnnWord, tracker: _PhiBudget
+    p: HnnPresentation, u: HnnWord, v: HnnWord, tracker: _Budget
 ) -> HnnWord:
     """Normal form of u*v for normal forms u (with syllables) and v: the
     Britton pass over the concatenation pinches only at the seam, and the
@@ -438,11 +427,11 @@ class HnnOps:
     def multiply(self, u: HnnWord, v: HnnWord) -> HnnWord:
         if not u.syllables:
             return normal_form(self.presentation, hnn_concat(u, v), self.budget)
-        return _seam_product(self.presentation, u, v, _PhiBudget(self.budget))
+        return _seam_product(self.presentation, u, v, _Budget(self.budget, _PHI_EXHAUSTED))
 
     def invert(self, u: HnnWord) -> HnnWord:
         w = hnn_invert(u)
-        p, tracker = self.presentation, _PhiBudget(self.budget)
+        p, tracker = self.presentation, _Budget(self.budget, _PHI_EXHAUSTED)
         return _coset_pass(p, w.g0, list(w.syllables), (), tracker, False)
 
     def identity_element(self) -> HnnWord:

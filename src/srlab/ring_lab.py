@@ -339,10 +339,9 @@ def left_translation_table(
             f"{verdict.witness}"
         )
     pairs = []
-    for triple, s in zip(x_list, s_list):
+    for i, s in enumerate(s_list):
         block = _canonical_distinct(ops, s, "set members")
-        for x in (canonical_form(ops, x) for x in triple):
-            pairs.extend((x, f) for f in block)
+        pairs.extend((x, f) for x in xs[3 * i : 3 * i + 3] for f in block)
     return make_pair_table(ops, pairs)
 
 
@@ -375,17 +374,21 @@ def epsilon(b_s: Sequence, x_bt: Sequence, phi_b: RingElement) -> tuple[RingElem
     b_s and x_bt are triples of distinct group elements; with witnesses that
     make the conjugated quotient sets mutually reduced, all nine products of
     a single-term phi stay distinct, so the support has size exactly 9."""
-    eps, eps1, _ = _epsilon_parts(b_s, x_bt, phi_b)
+    ops = phi_b.ops
+    eps, eps1, _ = _epsilon_parts(
+        [canonical_form(ops, b) for b in b_s],
+        [canonical_form(ops, x) for x in x_bt],
+        phi_b,
+    )
     return eps, eps1
 
 
 def _epsilon_parts(
-    b_s: Sequence, x_bt: Sequence, phi_b: RingElement
+    siblings: list, witnesses: list, phi_b: RingElement
 ) -> tuple[RingElement, RingElement, list[RingElement]]:
-    """eps, eps + 1 and the three conjugates x_t^-1 * phi * x_t they sum."""
+    """eps, eps + 1 and the three conjugates x_t^-1 * phi * x_t they sum,
+    from canonical siblings and witnesses."""
     ops = phi_b.ops
-    siblings = [canonical_form(ops, b) for b in b_s]
-    witnesses = [canonical_form(ops, x) for x in x_bt]
     if len(siblings) != 3 or len(set(siblings)) != 3:
         raise PreconditionViolated("need three distinct sibling elements")
     if len(witnesses) != 3 or len(set(witnesses)) != 3:
@@ -487,7 +490,7 @@ def support_bound_experiment(
     w1 = ring_zero(ops, char)
     w2 = ring_zero(ops, char)
     w = ring_zero(ops, char)
-    for (b, phi, u), sibs, wits in zip(active, siblings, witnesses):
+    for (_, phi, u), label, sibs, wits in zip(active, labels, siblings, witnesses):
         sibs = [canonical_form(ops, s) for s in sibs]
         wits = [canonical_form(ops, x) for x in wits]
         eps, eps1, conj_parts = _epsilon_parts(sibs, wits, phi)
@@ -511,7 +514,7 @@ def support_bound_experiment(
         )
         u_count = len(u.support)
         entry = {
-            "label": ops.fmt(canonical_form(ops, b)),
+            "label": ops.fmt(label),
             "phi_support": len(phi.support),
             "u_support": u_count,
             "siblings": [ops.fmt(s) for s in sibs],

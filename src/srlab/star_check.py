@@ -8,22 +8,30 @@ quantifies over all finite products, so it is only semi-decidable; the
 checker enumerates products up to a caller-supplied length bound and
 reports that bound alongside the verdict.
 
-The search meets in the middle.  For each length k it indexes all
-admissible suffix half-sequences by their product, then walks prefix
-half-sequences in lexicographic order and joins them against suffixes
-whose product inverts the prefix, checking the two seam adjacencies.
-A partial product whose size exceeds (open slots) * (largest factor)
-is discarded: factor sizes are subadditive, so no completion can cancel
-it back to the identity.  Counterexamples are therefore found smallest
-length first, then lexicographically least in the fixed factor order
-(factors sorted by size, then text).
+The search meets in the middle.  One walker enumerates the admissible
+index sequences of a given length in lexicographic order, each with its
+product.  For each length k the check indexes the suffix half-sequences by
+their product, then walks the prefix half-sequences and joins them against
+suffixes whose product inverts the prefix, checking the two seam
+adjacencies.  A partial product whose size exceeds (open slots) * (largest
+factor) is discarded: factor sizes are subadditive, so no completion can
+cancel it back to the identity.  Counterexamples are therefore found
+smallest length first, then lexicographically least in the fixed factor
+order (factors sorted by size, then text).
 
-Each product is computed once per check.  A table keyed by index prefix
-serves every length and both halves, and is dropped when the check
-returns.  The universe is closed under inversion, so the inverse a prefix
-half is probed with is the product of its mirror, the reversed sequence of
-inverse factors: it is looked up in the same table, and an inverse that
-had to be computed is filed there under the mirror.
+The walker reads which item may follow which from bit masks: item i may
+follow item j unless outs[j] & ins[i].  The check passes each factor's
+closure mask as both, so no two factors of one closure are adjacent.
+find_relation walks the same tree over the candidate generators and their
+inverses (move 2j is z_j, move 2j + 1 its inverse), with ins[m] = 1 << m
+and outs[m] = 1 << (m ^ 1), so no move follows its own inverse.
+
+Each product is computed once per search.  A table keyed by index prefix
+serves every length and, in the check, both halves, and is dropped when the
+search returns.  The universe is closed under inversion, so the inverse a
+prefix half is probed with is the product of its mirror, the reversed
+sequence of inverse factors: it is looked up in the same table, and an
+inverse that had to be computed is filed there under the mirror.
 The expansion budget counts enumeration steps (visited prefixes), not
 products computed, so a reused product spends as much budget as a new one
 and the point where the budget runs out does not depend on the tables.
@@ -50,7 +58,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .elements import FreeGroupOps, GroupOps, product_of
-from .errors import AlphabetMismatch, BudgetExceeded, EmptySet, StructureMismatch
+from .errors import (
+    AlphabetMismatch,
+    BudgetExceeded,
+    EmptySet,
+    PreconditionViolated,
+    StructureMismatch,
+)
 from .words import Word, generator, multiply, power
 
 HOLDS = "HoldsUpToBound"
@@ -164,46 +178,55 @@ def conjugate_set(m: ElementSet, x) -> ElementSet:
 
 
 class _Budget:
-    __slots__ = ("left", "total")
+    """Units of work left; spending past the total raises BudgetExceeded with
+    the given message, by default the one for an exhausted search."""
 
-    def __init__(self, total: int):
+    __slots__ = ("left", "total", "message")
+
+    def __init__(self, total: int, message: Optional[str] = None):
         self.left = total
         self.total = total
+        self.message = message
 
     def spend(self, amount: int = 1) -> None:
         self.left -= amount
         if self.left < 0:
             raise BudgetExceeded(
-                f"mutual-reduction search exceeded expansion budget {self.total}"
+                self.message
+                or f"mutual-reduction search exceeded expansion budget {self.total}"
             )
 
 
-def _halves(universe, masks, max_size, length, k, products, ops, budget):
-    """Yield admissible half-sequences (indices, product) in lex order.
+def _walk(ops, items, ins, outs, max_size, length, k, products, budget):
+    """Yield the admissible index sequences of `length` items, each with its
+    product, in lexicographic order.
 
-    A partial with d factors placed may still be completed to a length-k
-    identity product only if its size fits in the remaining k - d slots.
-    products maps an index prefix to its (product, size); one table serves
-    every length and both halves of a check, so each prefix is multiplied
-    once.  The budget is spent per visited prefix, computed or reused.
+    Item i may follow item j unless outs[j] & ins[i].  A partial with d
+    items placed may still be completed to a length-k identity product only
+    if its size fits in the remaining k - d slots.  products maps an index
+    prefix to its (product, size) and is shared by every walk of one search,
+    so each prefix is multiplied once.  The budget is spent per visited
+    prefix, computed or reused.
     """
-    n = len(universe)
+    n = len(items)
     prefix: tuple = ()
+    blocked = 0  # outs of the last item placed
     nexts = [0]  # next candidate index at each open depth
     while nexts:
         i = nexts[-1]
         if i == n:
             nexts.pop()
             prefix = prefix[:-1]
+            blocked = outs[prefix[-1]] if prefix else 0
             continue
         nexts[-1] = i + 1
-        if prefix and masks[i] & masks[prefix[-1]]:
+        if blocked & ins[i]:
             continue
         budget.spend()
         extended = prefix + (i,)
         entry = products.get(extended)
         if entry is None:
-            prod = ops.multiply(products[prefix][0], universe[i])
+            prod = ops.multiply(products[prefix][0], items[i])
             entry = products[extended] = (prod, ops.size(prod))
         if entry[1] > (k - len(extended)) * max_size:
             continue
@@ -211,6 +234,7 @@ def _halves(universe, masks, max_size, length, k, products, ops, budget):
             yield extended, entry[0]
         else:
             prefix = extended
+            blocked = outs[i]
             nexts.append(0)
 
 
@@ -218,11 +242,11 @@ def _search_length(k, universe, masks, flip, max_size, products, ops, budget):
     k1 = (k + 1) // 2
     k2 = k - k1
     by_product: dict = {}
-    for indices, prod in _halves(universe, masks, max_size, k2, k, products, ops, budget):
+    for indices, prod in _walk(ops, universe, masks, masks, max_size, k2, k, products, budget):
         by_product.setdefault(prod, []).append(indices)
     if not by_product:
         return None
-    for indices, prod in _halves(universe, masks, max_size, k1, k, products, ops, budget):
+    for indices, prod in _walk(ops, universe, masks, masks, max_size, k1, k, products, budget):
         # the inverse of the prefix's product is the product of its mirror,
         # the reversed prefix of inverse factors; size is inversion-invariant
         mirror = tuple(flip[i] for i in reversed(indices))
@@ -296,6 +320,33 @@ def _search(sets, ops, max_len, budget) -> MutualVerdict:
         if witness is not None:
             return MutualVerdict(COUNTEREXAMPLE, max_len, witness)
     return MutualVerdict(HOLDS, max_len, None)
+
+
+def check_conjugated_copies(
+    m: ElementSet,
+    conjugators,
+    max_len: int,
+    expansion_budget: int = DEFAULT_EXPANSION_BUDGET,
+) -> MutualVerdict:
+    """Check the copies x^-1 m x, one per conjugator x, for mutual reduction.
+
+    The check blocks two adjacent factors when one closure holds both,
+    whichever copy each was drawn from, so its verdict certifies condition
+    (*) for the conjugators only when the copies' symmetric closures are
+    pairwise disjoint; copies that share an element raise
+    PreconditionViolated."""
+    copies = [conjugate_set(m, x) for x in conjugators]
+    closures = [symmetric_closure(c) for c in copies]
+    for i, first in enumerate(closures):
+        for j in range(i + 1, len(closures)):
+            shared = next((g for g in first if g in closures[j]), None)
+            if shared is not None:
+                raise PreconditionViolated(
+                    f"conjugated copies {i + 1} and {j + 1} share "
+                    f"{m.ops.fmt(shared)}, so a mutual-reduction check "
+                    "cannot certify the triple"
+                )
+    return check_mutually_reduced(copies, max_len, expansion_budget)
 
 
 def verify_mutual_witness(sets: Sequence[ElementSet], witness) -> bool:
@@ -406,48 +457,23 @@ def find_relation(ops, elements, max_len: int, expansion_budget: int = DEFAULT_E
 
     Iterative deepening keeps the first hit shortest, then lexicographically
     least; the subadditive size bound prunes products that cannot return to
-    the identity in the remaining syllables.  A table keyed by move prefix
-    keeps each product for the longer limits, so each prefix is multiplied
-    once; the budget is spent per visited prefix, computed or reused.
+    the identity in the remaining syllables.  Each limit is one walk of the
+    check's walker over the moves, and the walks share one table keyed by
+    move prefix, so each prefix is multiplied once; the budget is spent per
+    visited prefix, computed or reused.
     """
     elements = list(elements)
     budget = _Budget(expansion_budget)
     max_z = max((ops.size(z) for z in elements), default=0)
 
-    # move 2j is z_j and move 2j + 1 its inverse, so m ^ 1 undoes move m
-    moves = [
-        (j, exp, val)
-        for j, z in enumerate(elements)
-        for exp, val in ((1, z), (-1, ops.invert(z)))
-    ]
+    # move 2j is z_j and move 2j + 1 its inverse, so move m may not follow m ^ 1
+    syllables = [(j, exp) for j in range(len(elements)) for exp in (1, -1)]
+    values = [val for z in elements for val in (z, ops.invert(z))]
+    ins = [1 << m for m in range(len(values))]
+    outs = [1 << (m ^ 1) for m in range(len(values))]
     products = {(): (ops.identity_element(), 0)}
     for limit in range(1, max_len + 1):
-        # depth-first over syllable sequences of exactly `limit` syllables,
-        # one move iterator per open prefix
-        prefix: tuple = ()
-        frames = [iter(range(len(moves)))]
-        while frames:
-            for m in frames[-1]:
-                if prefix and prefix[-1] == m ^ 1:
-                    continue
-                budget.spend()
-                extended = prefix + (m,)
-                entry = products.get(extended)
-                if entry is None:
-                    nxt = ops.multiply(products[prefix][0], moves[m][2])
-                    entry = (nxt, ops.size(nxt))
-                    if len(extended) < max_len:
-                        products[extended] = entry
-                if entry[1] > (limit - len(extended)) * max_z:
-                    continue
-                if len(extended) == limit:
-                    if ops.is_identity(entry[0]):
-                        return tuple(moves[i][:2] for i in extended)
-                    continue
-                prefix = extended
-                frames.append(iter(range(len(moves))))
-                break
-            else:
-                frames.pop()
-                prefix = prefix[:-1]
+        for seq, prod in _walk(ops, values, ins, outs, max_z, limit, limit, products, budget):
+            if ops.is_identity(prod):
+                return tuple(syllables[m] for m in seq)
     return None

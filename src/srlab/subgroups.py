@@ -371,37 +371,6 @@ class SubgroupAutomaton:
 
     # -- expression in bases ------------------------------------------------
 
-    def _edge_labels(self) -> list[dict[int, int]]:
-        """Per state, letter -> signed 1-based automaton-basis index of the
-        non-tree edge it follows (negative when followed backwards)."""
-        if "edge_labels" in self._cache:
-            return self._cache["edge_labels"]
-        _, non_tree = self._tree()
-        labels: list[dict[int, int]] = [dict() for _ in self.delta]
-        for i, (u, letter, v) in enumerate(non_tree):
-            labels[u][letter] = i + 1
-            labels[v][-letter] = -(i + 1)
-        self._cache["edge_labels"] = labels
-        return labels
-
-    def express_automaton(self, w: Word) -> tuple[int, ...] | None:
-        """w as a reduced word over the automaton basis (signed 1-based
-        indices into automaton_basis()), or None if w is not a member."""
-        labels = self._edge_labels()
-        state = 0
-        out: list[int] = []
-        for letter in w.letters:
-            nxt = self.delta[state].get(letter)
-            if nxt is None:
-                return None
-            e = labels[state].get(letter)
-            if e is not None:
-                out.append(e)
-            state = nxt
-        if state != 0:
-            return None
-        return reduce_signed(out)
-
     def _basis_labels(self) -> list[dict[int, Label]]:
         """Per state, letter -> the word over the stored basis (signed 1-based
         indices) that the transition reads.  The basis' petals are folded

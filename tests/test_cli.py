@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit-code contract, report shapes, certificate
 round-trips, deterministic output, and the error paths."""
 
+import hashlib
 import json
 
 import pytest
@@ -632,6 +633,18 @@ def test_seed_recorded_and_bytes_identical(capsys):
     assert json.loads(first)["seed"] == 99
     _, second = run(capsys, *argv)
     assert first == second
+
+
+# sha256 of `srlab experiment batch --seed 0` stdout; every report in the
+# batch is deterministic, so a change to any verdict, witness or count in it
+# shows up here
+BATCH_SEED_0_SHA256 = "68e0007fc3c7501b8d3b8ddaa843d479bf907a99bdf2845c15aa626125454319"
+
+
+def test_experiment_batch_bytes_are_pinned(capsys):
+    assert main(["experiment", "batch", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BATCH_SEED_0_SHA256
 
 
 def test_experiment_batch_rejects_bad_scale(capsys):

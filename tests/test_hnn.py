@@ -197,6 +197,22 @@ def test_britton_never_raises_t_count(p_bs):
     del letters
 
 
+def test_phi_budget_message(p_bs):
+    w = parse_hnn_word(p_bs, "t^-1 t^-1 t^-1 t^-1 t^-1 t^-1 a t t t t t t")
+    message = (
+        "isomorphism application budget exhausted; the presentation "
+        "expands too fast at this word (raise the expansion budget)"
+    )
+    with pytest.raises(BudgetExceeded) as exc:
+        britton_reduce(p_bs, w, budget=20)
+    assert str(exc.value) == message
+    u = normal_form(p_bs, parse_hnn_word(p_bs, "t^-1 t^-1 t^-1 t^-1 t^-1 t^-1"))
+    v = normal_form(p_bs, parse_hnn_word(p_bs, "a t t t t t t"))
+    with pytest.raises(BudgetExceeded) as exc:
+        HnnOps(p_bs, 20).multiply(u, v)
+    assert str(exc.value) == message
+
+
 def test_britton_budget_exhaustion(p_bs):
     w = parse_hnn_word(p_bs, "t^-1 t^-1 t^-1 t^-1 t^-1 t^-1 a t t t t t t")
     with pytest.raises(BudgetExceeded):

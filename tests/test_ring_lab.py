@@ -287,6 +287,16 @@ def test_left_table_spec_examples():
     assert t2.isolated == brute_isolated(t2)
 
 
+def test_left_table_pairs_each_block_with_its_own_triple():
+    fam = standard_free_family(OPS, 6)
+    table = left_translation_table(
+        OPS, [words("b"), words("b b", "a")], [tuple(fam[:3]), tuple(fam[3:])]
+    )
+    assert list(table.pairs) == [(x, f) for x in fam[:3] for f in words("b")] + [
+        (x, f) for x in fam[3:] for f in words("a", "b b")
+    ]
+
+
 def test_left_table_allows_identity_member():
     fam = standard_free_family(OPS, 3)
     table = left_translation_table(OPS, [[identity(AB), w("b")]], [tuple(fam)])

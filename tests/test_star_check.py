@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from srlab import star_check
 from srlab.elements import FreeGroupOps, product_of
-from srlab.errors import BudgetExceeded, EmptySet, StructureMismatch
+from srlab.errors import BudgetExceeded, EmptySet, PreconditionViolated, StructureMismatch
 from srlab.star_check import (
     COUNTEREXAMPLE,
     HOLDS,
     ElementSet,
+    check_conjugated_copies,
     check_mutually_reduced,
     conjugate_set,
     find_relation,
@@ -345,6 +346,26 @@ def test_memo_is_emptied_at_its_cap(monkeypatch):
     assert sorted(k[0] for k in memo) == [2, 3, 4]
     check_mutually_reduced(sets, 5)
     assert [k[0] for k in memo] == [5]
+
+
+def test_conjugated_copies_refuse_an_overlap():
+    # the copies of {a, b a b^-1} by a b and b a b both hold b^-1 a b, so
+    # (b^-1 a b)(b^-1 a^-1 b) = 1 mixes two copies; the check alone passes
+    m = es("a", "b a b^-1")
+    xs = [w("a b"), w("b a b"), w("b b a")]
+    assert check_mutually_reduced([conjugate_set(m, x) for x in xs], 6).holds
+    with pytest.raises(PreconditionViolated, match=r"copies 1 and 2 share b\^-1 a b"):
+        check_conjugated_copies(m, xs, 6)
+
+
+def test_conjugated_copies_check_disjoint_copies():
+    for m in (es("a", "b a"), es("a b^-1"), es("a^2", "b a^-1", "a b a")):
+        xs = star_witness_locally_free(m, "a", "b")
+        copies = [conjugate_set(m, x) for x in xs]
+        for max_len in (2, 4):
+            assert check_conjugated_copies(m, xs, max_len) == check_mutually_reduced(
+                copies, max_len
+            )
 
 
 def test_verify_rejects_tampering():
