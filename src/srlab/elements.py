@@ -47,6 +47,13 @@ class GroupOps(Protocol):
     def fmt(self, g) -> str: ...
 
 
+def _element_key(ops: GroupOps):
+    """The sort key of the element order, size first and then text: element
+    sets, the mutual-reduction universe and ring terms all follow it."""
+    size, fmt = ops.size, ops.fmt
+    return lambda g: (size(g), fmt(g))
+
+
 @dataclass(frozen=True)
 class FreeGroupOps:
     """Free-group words over a fixed alphabet as checker elements."""

@@ -449,22 +449,29 @@ class HnnOps:
         return format_hnn_word(self.presentation, u)
 
 
-def to_hnn_word(p: HnnPresentation, item: "HnnWord | Word | str") -> HnnWord:
-    """Coerce text, a base word, or a base+stable word into syllable form."""
+def to_hnn_word(
+    p: HnnPresentation,
+    item: "HnnWord | Word | str",
+    budget: int = DEFAULT_EXPANSION_BUDGET,
+) -> HnnWord:
+    """The element that text, a base word, a base+stable word or a syllable
+    word denotes, in normal form, so HnnOps can take it."""
     if isinstance(item, HnnWord):
         if item.g0.alphabet.symbols != p.alphabet.symbols:
             raise AmbientMismatch("syllable word belongs to a different presentation")
-        return item
-    if isinstance(item, str):
-        return parse_hnn_word(p, item)
-    if item.alphabet.symbols == p.alphabet.symbols:
-        return embed(p, item)
-    if item.alphabet.symbols == p.full_alphabet.symbols:
-        return structure_word(p, item)
-    raise AmbientMismatch(
-        f"word over {item.alphabet.symbols} fits neither the base nor the "
-        "extended alphabet"
-    )
+        w = item
+    elif isinstance(item, str):
+        w = parse_hnn_word(p, item)
+    elif item.alphabet.symbols == p.alphabet.symbols:
+        w = embed(p, item)
+    elif item.alphabet.symbols == p.full_alphabet.symbols:
+        w = structure_word(p, item)
+    else:
+        raise AmbientMismatch(
+            f"word over {item.alphabet.symbols} fits neither the base nor the "
+            "extended alphabet"
+        )
+    return normal_form(p, w, budget)
 
 
 def hnn_element_set(
@@ -474,9 +481,7 @@ def hnn_element_set(
 ) -> ElementSet:
     """Canonicalize members and bundle them with the extension's operations."""
     ops = HnnOps(p, budget)
-    return ElementSet.of(
-        ops, [normal_form(p, to_hnn_word(p, x), budget) for x in items]
-    )
+    return ElementSet.of(ops, [to_hnn_word(p, x, budget) for x in items])
 
 
 # -- free-subgroup criterion (proper associated subgroups, displacing element) --
@@ -555,7 +560,7 @@ def star_witness_hnn(
         raise PreconditionViolated("m must be a nonempty set of nontrivial elements")
     deepest = 0
     for item in members:
-        nf = normal_form(p, to_hnn_word(p, item), budget)
+        nf = to_hnn_word(p, item, budget)
         if nf.is_base and nf.g0.is_identity:
             raise PreconditionViolated("m must not contain the identity")
         deepest = max(deepest, nf.t_length)

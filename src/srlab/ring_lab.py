@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .elements import FreeGroupOps, GroupOps
+from .elements import FreeGroupOps, GroupOps, _element_key
 from .errors import (
     AmbientMismatch,
     HypothesisUnverified,
@@ -70,8 +70,14 @@ def canonical_form(ops: GroupOps, g):
     return ops.multiply(ops.identity_element(), g)
 
 
-def _term_key(ops: GroupOps):
-    return lambda pair: (ops.size(pair[0]), ops.fmt(pair[0]))
+def _terms(ops: GroupOps, terms: list) -> tuple:
+    """terms, a list of (element, nonzero coefficient) pairs with distinct
+    elements, in element order; sorted by index into their keys, so no
+    element is hashed again and no Python call is added per term."""
+    if len(terms) > 1:
+        keys = list(map(_element_key(ops), [g for g, _ in terms]))
+        terms = [terms[i] for i in sorted(range(len(terms)), key=keys.__getitem__)]
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,8 @@ def ring_element(ops: GroupOps, pairs: Iterable[tuple], char: int = 0) -> RingEl
         if char:
             c %= char
         acc[key] = c
-    terms = tuple(sorted(((g, c) for g, c in acc.items() if c != 0), key=_term_key(ops)))
-    return RingElement(ops, char, terms)
+    terms = [(g, c) for g, c in acc.items() if c != 0]
+    return RingElement(ops, char, _terms(ops, terms))
 
 
 def ring_zero(ops: GroupOps, char: int = 0) -> RingElement:
@@ -148,7 +154,7 @@ def ring_add(x: RingElement, y: RingElement) -> RingElement:
             acc.pop(g, None)
         else:
             acc[g] = total
-    return RingElement(x.ops, x.char, tuple(sorted(acc.items(), key=_term_key(x.ops))))
+    return RingElement(x.ops, x.char, _terms(x.ops, list(acc.items())))
 
 
 def ring_neg(x: RingElement) -> RingElement:
@@ -184,10 +190,8 @@ def ring_mul(x: RingElement, y: RingElement) -> RingElement:
             if x.char:
                 total %= x.char
             acc[key] = total
-    terms = tuple(
-        sorted(((g, c) for g, c in acc.items() if c != 0), key=_term_key(x.ops))
-    )
-    return RingElement(x.ops, x.char, terms)
+    terms = [(g, c) for g, c in acc.items() if c != 0]
+    return RingElement(x.ops, x.char, _terms(x.ops, terms))
 
 
 def ring_sum(ops: GroupOps, items: Sequence[RingElement], char: int = 0) -> RingElement:
@@ -254,7 +258,7 @@ def _canonical_distinct(ops: GroupOps, items, what: str) -> tuple:
         out.append(c)
     if not out:
         raise PreconditionViolated(f"{what} must be non-empty")
-    return tuple(sorted(out, key=lambda g: (ops.size(g), ops.fmt(g))))
+    return tuple(sorted(out, key=_element_key(ops)))
 
 
 def _as_element_set(ops: GroupOps, items, what: str) -> ElementSet:
@@ -303,7 +307,7 @@ def right_translation_table(
             f"quotient sets admit a violating product at bound {max_product_len}: "
             f"{verdict.witness}"
         )
-    left = sorted(union, key=lambda g: (ops.size(g), ops.fmt(g)))
+    left = sorted(union, key=_element_key(ops))
     pairs = [(f, g) for f in left for g in translators]
     return make_pair_table(ops, pairs)
 

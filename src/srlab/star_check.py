@@ -57,7 +57,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .elements import FreeGroupOps, GroupOps, product_of
+from .elements import FreeGroupOps, GroupOps, _element_key, product_of
 from .errors import (
     AlphabetMismatch,
     BudgetExceeded,
@@ -97,7 +97,7 @@ class ElementSet:
         for g in unique:
             if ops.is_identity(g):
                 raise ValueError("identity element not allowed in an ElementSet")
-        ordered = tuple(sorted(unique, key=lambda g: (ops.size(g), ops.fmt(g))))
+        ordered = tuple(sorted(unique, key=_element_key(ops)))
         return ElementSet(ops, ordered, unique)
 
     @staticmethod
@@ -301,9 +301,7 @@ def check_mutually_reduced(
 
 def _search(sets, ops, max_len, budget) -> MutualVerdict:
     closures = [symmetric_closure(s).members for s in sets]
-    universe = sorted(
-        {g for c in closures for g in c}, key=lambda g: (ops.size(g), ops.fmt(g))
-    )
+    universe = sorted({g for c in closures for g in c}, key=_element_key(ops))
     if not universe:
         return MutualVerdict(HOLDS, max_len, None)
     masks = [

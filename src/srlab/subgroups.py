@@ -2,9 +2,10 @@
 
 A subgroup is represented by its Stallings automaton: a folded, connected,
 based graph whose edges are labelled by generators; a word lies in the
-subgroup iff it traces a loop at the base state.  States are renumbered
-canonically (breadth-first from the base, letters in shortlex rank order)
-so that equal constructions produce identical structures.
+subgroup iff it traces a loop at the base state.  Every automaton is folded
+and then cut to its core and numbered canonically in one linear pass
+(breadth-first from the base, letters in shortlex rank order), so that
+equal constructions produce identical structures.
 
 Membership, intersection (product automaton), conjugation, shortlex coset
 representatives, and expression of members in a user-supplied independent
@@ -29,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .elements import map_basis_coords
+from .elements import map_basis_coords, presentation_json
 from .errors import (
     AlphabetMismatch,
     ParseError,
@@ -178,65 +179,49 @@ def _fold(
     return out, renum[find(base)], labels
 
 
-def _restrict_to_core(
-    delta: list[dict[int, int]], base: int
-) -> tuple[list[dict[int, int]], int]:
-    """Keep the base component and iteratively prune hanging dead ends."""
-    reachable = {base}
-    stack = [base]
+def _core(delta: list[dict[int, int]], base: int) -> list[dict[int, int]]:
+    """The core of a folded automaton, numbered canonically.
+
+    delta is folded, so a state's degree is its number of transitions.  A
+    worklist prunes the hanging dead ends: each pruned non-base state lowers
+    its neighbours' degrees, and a neighbour left with one transition joins
+    the list, so each state is pruned at most once.  The states left are
+    numbered breadth-first from the base, letters in rank order, which makes
+    the base state 0, lists each state's transitions in rank order and drops
+    the states the base does not reach.
+    """
+    degree = [len(trans) for trans in delta]
+    pruned = [False] * len(delta)
+    stack = [s for s, d in enumerate(degree) if d <= 1 and s != base]
     while stack:
         s = stack.pop()
+        pruned[s] = True
         for t in delta[s].values():
-            if t not in reachable:
-                reachable.add(t)
-                stack.append(t)
-    alive = set(reachable)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(alive):
-            if s == base:
-                continue
-            degree = sum(1 for t in delta[s].values() if t in alive)
-            if degree <= 1:
-                alive.remove(s)
-                changed = True
-    order = sorted(alive)
-    renum = {s: i for i, s in enumerate(order)}
-    out: list[dict[int, int]] = [dict() for _ in order]
-    for s in order:
-        for letter, target in delta[s].items():
-            if target in alive:
-                out[renum[s]][letter] = renum[target]
-    return out, renum[base]
-
-
-def _canonical_renumber(
-    delta: list[dict[int, int]], base: int
-) -> list[dict[int, int]]:
-    """BFS from base with letters in rank order; base becomes state 0."""
+            if not pruned[t]:
+                degree[t] -= 1
+                if degree[t] == 1 and t != base:
+                    stack.append(t)
+    number = {base: 0}
     order = [base]
-    seen = {base}
-    head = 0
-    while head < len(order):
-        s = order[head]
-        head += 1
+    out: list[dict[int, int]] = []
+    for s in order:  # order grows as states are numbered
+        trans = {}
         for letter in sorted(delta[s], key=_letter_rank):
             t = delta[s][letter]
-            if t not in seen:
-                seen.add(t)
+            if pruned[t]:
+                continue
+            if t not in number:
+                number[t] = len(order)
                 order.append(t)
-    renum = {s: i for i, s in enumerate(order)}
-    out: list[dict[int, int]] = [dict() for _ in order]
-    for s in order:
-        for letter, target in delta[s].items():
-            out[renum[s]][letter] = renum[target]
+            trans[letter] = number[t]
+        out.append(trans)
     return out
 
 
 @dataclass(frozen=True)
 class SubgroupAutomaton:
-    """Folded core automaton; base state is always 0."""
+    """Folded core automaton; base state is always 0, and each state lists
+    its transitions in letter rank order."""
 
     alphabet: Alphabet
     delta: tuple[dict[int, int], ...]
@@ -258,9 +243,7 @@ class SubgroupAutomaton:
             if g.alphabet.symbols != alphabet.symbols:
                 raise ValueError("generator alphabet differs from subgroup alphabet")
         delta, base, _ = _fold(*_petals(gens), 0)
-        delta, base = _restrict_to_core(delta, base)
-        delta = _canonical_renumber(delta, base)
-        return SubgroupAutomaton(alphabet, tuple(delta), gens)
+        return SubgroupAutomaton(alphabet, tuple(_core(delta, base)), gens)
 
     # -- basic queries ----------------------------------------------------
 
@@ -307,8 +290,7 @@ class SubgroupAutomaton:
         while head < len(queue):
             s = queue[head]
             head += 1
-            for letter in sorted(self.delta[s], key=_letter_rank):
-                t = self.delta[s][letter]
+            for letter, t in self.delta[s].items():
                 if paths[t] is None:
                     paths[t] = paths[s] + (letter,)
                     tree_edges.add(self._canonical_edge(s, letter, t))
@@ -451,13 +433,17 @@ class SubgroupAutomaton:
 
     @staticmethod
     def from_json(text: str) -> "SubgroupAutomaton":
-        """Parse to_json output; a state id outside range(states), or an
-        edge that is not a [state, symbol, state] triple, is a ParseError."""
-        data = json.loads(text)
+        """Parse to_json output.  A file without lists of symbols, basis
+        words and edges or a non-negative states count, a state id outside
+        range(states), or an edge that is not a [state, symbol, state]
+        triple, is a ParseError."""
+        data = presentation_json(text, lists=("alphabet", "basis"))
         alphabet = Alphabet(tuple(data["alphabet"]))
-        states = data["states"]
+        states = data.get("states")
         if type(states) is not int or states < 0:
             raise ParseError(f"states must be a non-negative integer, got {states!r}")
+        if not isinstance(data.get("edges"), list):
+            raise ParseError("edges must be a list of [state, symbol, state] triples")
 
         def state(v, what: str) -> int:
             if type(v) is not int or not 0 <= v < states:
@@ -466,15 +452,13 @@ class SubgroupAutomaton:
 
         edges = []
         for e in data["edges"]:
-            if not isinstance(e, list) or len(e) != 3:
+            if not isinstance(e, list) or len(e) != 3 or not isinstance(e[1], str):
                 raise ParseError(f"edge {e!r} is not a [state, symbol, state] triple")
             u, sym, v = e
             edges.append((state(u, "edge"), alphabet.index_of(sym), state(v, "edge"), ()))
-        delta, base, _ = _fold(states, edges, state(data["base"], "base"))
-        delta, base = _restrict_to_core(delta, base)
-        delta = _canonical_renumber(delta, base)
+        delta, base, _ = _fold(states, edges, state(data.get("base"), "base"))
         basis = tuple(parse_word(alphabet, b) for b in data["basis"])
-        h = SubgroupAutomaton(alphabet, tuple(delta), basis)
+        h = SubgroupAutomaton(alphabet, tuple(_core(delta, base)), basis)
         h._basis_labels()  # refuses a basis that does not generate the automaton
         return h
 
@@ -486,10 +470,9 @@ class SubgroupAutomaton:
         for _ in range(max_len):
             new_frontier = []
             for state, letters in frontier:
-                for letter in sorted(self.delta[state], key=_letter_rank):
+                for letter, t in self.delta[state].items():
                     if letters and letters[-1] == -letter:
                         continue
-                    t = self.delta[state][letter]
                     extended = letters + (letter,)
                     if t == 0:
                         yield Word(self.alphabet, extended)
@@ -533,9 +516,7 @@ def intersect(h1: SubgroupAutomaton, h2: SubgroupAutomaton) -> SubgroupAutomaton
                 delta.append(dict())
                 queue.append(pair)
             delta[s][letter] = numbering[pair]
-    core, base = _restrict_to_core(delta, 0)
-    core = _canonical_renumber(core, base)
-    result = SubgroupAutomaton(alphabet, tuple(core), ())
+    result = SubgroupAutomaton(alphabet, tuple(_core(delta, 0)), ())
     # the derived basis doubles as the stored one for computed subgroups
     return SubgroupAutomaton(alphabet, result.delta, result.automaton_basis())
 

@@ -153,6 +153,22 @@ def test_to_hnn_word_coercions(p_ab):
         to_hnn_word(p_ab, foreign)
 
 
+def test_to_hnn_word_returns_the_normal_form(p_ab):
+    # t b t = a t t, so a product of raw syllable forms would read t b t t
+    u, v = to_hnn_word(p_ab, "t b t"), to_hnn_word(p_ab, "t")
+    product = HnnOps(p_ab).multiply(u, v)
+    assert product == normal_form(p_ab, parse_hnn_word(p_ab, "t b t t"))
+    assert format_hnn_word(p_ab, product) == "a t t t"
+    assert to_hnn_word(p_ab, parse_hnn_word(p_ab, "t b t")) == u
+
+
+def test_to_hnn_word_spends_the_given_budget(p_bs):
+    text = "t^-1 t^-1 t^-1 t^-1 t^-1 t^-1 a t t t t t t"
+    with pytest.raises(BudgetExceeded):
+        to_hnn_word(p_bs, text, budget=20)
+    assert len(to_hnn_word(p_bs, text).g0) == 64
+
+
 # -- Britton reduction --------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,6 +10,8 @@ from srlab.elements import map_basis_coords
 from srlab.errors import ParseError, RedundantBasis, StructureMismatch
 from srlab.subgroups import (
     SubgroupAutomaton,
+    _core,
+    _fold,
     conjugate_subgroup,
     coset_representative,
     from_generators,
@@ -18,6 +21,7 @@ from srlab.subgroups import (
 from srlab.words import (
     Alphabet,
     Word,
+    _letter_rank,
     identity,
     invert,
     iter_reduced_words,
@@ -282,6 +286,10 @@ class TestMemos:
             assert len(h._cache[method]) <= 5
 
 
+# the file of <a> that to_json writes
+A_LOOP = {"alphabet": ["a", "b"], "base": 0, "states": 1, "edges": [[0, "a", 0]], "basis": ["a"]}
+
+
 class TestSerialization:
     def test_round_trip(self):
         h = sub("a b", "b a")
@@ -326,6 +334,90 @@ class TestSerialization:
         data.update(change)
         with pytest.raises(ParseError):
             SubgroupAutomaton.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            [],
+            {**A_LOOP, "basis": [3]},
+            {**A_LOOP, "alphabet": "ab"},  # not read as the symbols a, b
+            {**A_LOOP, "basis": "a"},
+            {key: v for key, v in A_LOOP.items() if key != "states"},
+            {key: v for key, v in A_LOOP.items() if key != "base"},
+            {**A_LOOP, "edges": None},
+            {**A_LOOP, "edges": [[0, ["a"], 0]]},
+        ],
+    )
+    def test_rejects_a_malformed_file(self, data):
+        with pytest.raises(ParseError):
+            SubgroupAutomaton.from_json(json.dumps(data))
+
+    def test_prunes_a_hanging_path_and_an_unreachable_cycle(self):
+        path = 2000
+        edges = [[0, "a", 0]] + [[i, "b", i + 1] for i in range(path)]
+        cycle = [path + 1, path + 2, path + 3]
+        edges += [[u, "a", v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+        data = {**A_LOOP, "states": path + 4, "edges": edges}
+        for text in (json.dumps(A_LOOP), json.dumps(data)):
+            assert SubgroupAutomaton.from_json(text).to_json() == sub("a").to_json()
+
+
+def _restrict_to_core(delta, base):
+    """Reference: keep the base component, then prune dead ends until none is left."""
+    reachable = {base}
+    stack = [base]
+    while stack:
+        s = stack.pop()
+        for t in delta[s].values():
+            if t not in reachable:
+                reachable.add(t)
+                stack.append(t)
+    alive = set(reachable)
+    changed = True
+    while changed:
+        changed = False
+        for s in list(alive):
+            if s != base and sum(1 for t in delta[s].values() if t in alive) <= 1:
+                alive.remove(s)
+                changed = True
+    renum = {s: i for i, s in enumerate(sorted(alive))}
+    out = [dict() for _ in renum]
+    for s in renum:
+        for letter, target in delta[s].items():
+            if target in alive:
+                out[renum[s]][letter] = renum[target]
+    return out, renum[base]
+
+
+def _canonical_renumber(delta, base):
+    """Reference: breadth-first from the base, letters in rank order."""
+    order = [base]
+    for s in order:
+        for letter in sorted(delta[s], key=_letter_rank):
+            if delta[s][letter] not in order:
+                order.append(delta[s][letter])
+    renum = {s: i for i, s in enumerate(order)}
+    out = [dict() for _ in order]
+    for s in order:
+        for letter, target in delta[s].items():
+            out[renum[s]][letter] = renum[target]
+    return out
+
+
+def test_core_matches_pruning_to_stability_then_renumbering():
+    rng = random.Random(1)
+    for _ in range(3000):
+        states = rng.randint(1, 9)
+        edges = [
+            (rng.randrange(states), rng.choice((1, 2)), rng.randrange(states), ())
+            for _ in range(rng.randint(0, 12))
+        ]
+        delta, base, _ = _fold(states, edges, rng.randrange(states))
+        core = _core(delta, base)
+        assert core == _canonical_renumber(*_restrict_to_core(delta, base))
+        for trans in core:
+            assert list(trans) == sorted(trans, key=_letter_rank)
 
 
 @st.composite
