@@ -103,13 +103,14 @@ def map_basis_coords(
 def presentation_json(
     text: str, strings=(), lists=(), pairs=(), optional_lists=()
 ) -> dict:
-    """The JSON object of an extension presentation, its shape checked: keys
-    in strings hold a string, keys in lists a list of words, keys in pairs a
-    list of [word, word] pairs, keys in optional_lists a list of words or
-    null or nothing.  A missing key or a wrong shape is a ParseError."""
+    """The JSON object of a presentation or subgroup automaton file, its shape
+    checked: keys in strings hold a string, keys in lists a list of words,
+    keys in pairs a list of [word, word] pairs, keys in optional_lists a list
+    of words or null or nothing.  A missing key or a wrong shape is a
+    ParseError."""
     data = json.loads(text)
     if not isinstance(data, dict):
-        raise ParseError("presentation JSON must be an object")
+        raise ParseError("JSON must be an object")
     is_words = lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v)
     checks = (
         (strings, "a string", lambda v: isinstance(v, str)),
@@ -124,5 +125,5 @@ def presentation_json(
     for keys, shape, ok in checks:
         for key in keys:
             if not ok(data.get(key)):
-                raise ParseError(f"presentation key {key!r} must hold {shape}")
+                raise ParseError(f"JSON key {key!r} must hold {shape}")
     return data

@@ -6,6 +6,9 @@ every component of (V, E) is a complete graph.  An SR-cycle is an even cycle
 of length >= 4 whose edges alternate E, F, E, F, ...; the closing edge (an
 even position) is an F-edge.
 
+Each graph builds its E- and F-neighbour lists once, as ascending vertex
+indices (`e_adj`, `f_adj`), and every routine here walks them.
+
 The cycle search is deterministic: anchors in ascending vertex order, the
 anchor is the minimum vertex of the reported cycle, neighbours tried in
 ascending order, and the first edge out of the anchor is the E-edge of the
@@ -15,7 +18,7 @@ first alternating position.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 from .errors import (
@@ -50,6 +53,19 @@ class SRGraph:
     vertices: tuple
     e_edges: frozenset
     f_edges: frozenset
+    # E- and F-neighbours of vertices[i], as ascending indices into vertices
+    e_adj: tuple = field(init=False, repr=False, compare=False)
+    f_adj: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        idx = self.index()
+        for name, edges in (("e_adj", self.e_edges), ("f_adj", self.f_edges)):
+            adj: list = [[] for _ in self.vertices]
+            for u, v in edges:
+                iu, iv = idx[u], idx[v]
+                adj[iu].append(iv)
+                adj[iv].append(iu)
+            object.__setattr__(self, name, tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
     @property
     def n(self) -> int:
@@ -102,29 +118,14 @@ def validate(
     if shared:
         raise DisjointnessViolation(f"edges in both E and F: {sorted(map(repr, shared))}")
     graph = SRGraph(ordered, e, f)
-    for comp in _components(ordered, _adjacency(graph, "e")):
-        comp_set = sorted(comp, key=_vkey)
-        for i, u in enumerate(comp_set):
-            for v in comp_set[i + 1 :]:
-                if _norm_edge(u, v) not in e:
-                    raise NonCompleteEComponent(
-                        f"E-component {comp_set!r} misses edge ({u!r}, {v!r})"
-                    )
+    missing = _incomplete(graph, graph.e_adj, _components(range(graph.n), graph.e_adj))
+    if missing:
+        raise NonCompleteEComponent("E-component {!r} misses edge ({!r}, {!r})".format(*missing))
     return graph
 
 
-def _adjacency(g: SRGraph, kind: str) -> dict:
-    edges = g.e_edges if kind == "e" else g.f_edges if kind == "f" else g.e_edges | g.f_edges
-    adj: dict = {v: [] for v in g.vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort(key=_vkey)
-    return adj
-
-
-def _components(vertices: Iterable[VertexId], adj: dict) -> list[set]:
+def _components(vertices: Iterable, adj) -> list[set]:
+    """Components in order of their first vertex; adj[v] lists v's neighbours."""
     seen: set = set()
     out = []
     for v in vertices:
@@ -144,15 +145,31 @@ def _components(vertices: Iterable[VertexId], adj: dict) -> list[set]:
     return out
 
 
-def _cut_vertices(vertices: Sequence[VertexId], adj: dict) -> tuple:
-    """Cut vertices in `vertices` order, by one iterative depth-first pass
+def _incomplete(g: SRGraph, adj: tuple, comps: list[set]) -> tuple | None:
+    """The first of comps that is not complete under adj, as its vertices and
+    first missing pair, or None.  A component is complete iff every member's
+    degree is its size - 1, so the pair is looked for only on failure."""
+    for comp in comps:
+        if all(len(adj[i]) == len(comp) - 1 for i in comp):
+            continue
+        members = sorted(comp)
+        for k, i in enumerate(members):
+            for j in members[k + 1 :]:
+                if j not in adj[i]:
+                    names = [g.vertices[m] for m in members]
+                    return names, g.vertices[i], g.vertices[j]
+    return None
+
+
+def _cut_vertices(adj: list) -> list[int]:
+    """Cut vertices by ascending index, in one iterative depth-first pass
     (Tarjan, SIAM J. Comput. 1, 1972): a root is a cut vertex when it has two
     or more DFS children, any other u when some child c has low[c] >= disc[u].
     """
     disc: dict = {}
     low: dict = {}
     cut: set = set()
-    for root in vertices:
+    for root in range(len(adj)):
         if root in disc:
             continue
         disc[root] = low[root] = len(disc)
@@ -181,18 +198,18 @@ def _cut_vertices(vertices: Sequence[VertexId], adj: dict) -> tuple:
                     root_children += 1
         if root_children >= 2:
             cut.add(root)
-    return tuple(v for v in vertices if v in cut)
+    return sorted(cut)
 
 
 def stats(g: SRGraph) -> GraphStats:
-    adj_e = _adjacency(g, "e")
-    adj_f = _adjacency(g, "f")
-    comps_e = _components(g.vertices, adj_e)
-    comps_f = _components(g.vertices, adj_f)
-    i_g = tuple(v for v in g.vertices if not adj_e[v])
-    i_h = tuple(v for v in g.vertices if not adj_f[v])
-    cut = _cut_vertices(g.vertices, _adjacency(g, "union"))
-    return GraphStats(len(comps_e), len(comps_f), i_g, i_h, cut)
+    v = g.vertices
+    return GraphStats(
+        len(_components(range(g.n), g.e_adj)),
+        len(_components(range(g.n), g.f_adj)),
+        tuple(v[i] for i, nbrs in enumerate(g.e_adj) if not nbrs),
+        tuple(v[i] for i, nbrs in enumerate(g.f_adj) if not nbrs),
+        tuple(v[i] for i in _cut_vertices([e + f for e, f in zip(g.e_adj, g.f_adj)])),
+    )
 
 
 def find_sr_cycle(g: SRGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> SRCycle | None:
@@ -206,19 +223,7 @@ def find_sr_cycle(g: SRGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> SRCycle | 
     n = g.n
     if n < 4:
         return None
-    idx = g.index()
-    adj = [[], []]  # adj[0] = E neighbours, adj[1] = F neighbours, by index
-    adj[0] = [[] for _ in range(n)]
-    adj[1] = [[] for _ in range(n)]
-    for kind, edges in ((0, g.e_edges), (1, g.f_edges)):
-        for u, v in edges:
-            iu, iv = idx[u], idx[v]
-            adj[kind][iu].append(iv)
-            adj[kind][iv].append(iu)
-    for kind in (0, 1):
-        for lst in adj[kind]:
-            lst.sort()
-
+    adj = (g.e_adj, g.f_adj)
     expansions = 0
     on_path = [False] * n  # every pushed vertex is popped before the next anchor
     for anchor in range(n):
@@ -282,19 +287,13 @@ def complete_criterion(g: SRGraph) -> bool:
 def criterion_counts(g: SRGraph) -> CriterionCounts:
     """The E- and F-component counts behind complete_criterion, with its
     verdict; raises HypothesisViolation when its hypotheses fail."""
-    comps_f = _components(g.vertices, _adjacency(g, "f"))
-    for comp in comps_f:
-        comp_sorted = sorted(comp, key=_vkey)
-        for i, u in enumerate(comp_sorted):
-            for v in comp_sorted[i + 1 :]:
-                if _norm_edge(u, v) not in g.f_edges:
-                    raise HypothesisViolation(
-                        f"F-component {comp_sorted!r} is not complete"
-                    )
-    adj_u = _adjacency(g, "union")
-    if len(_components(g.vertices, adj_u)) != 1:
+    comps_f = _components(range(g.n), g.f_adj)
+    missing = _incomplete(g, g.f_adj, comps_f)
+    if missing:
+        raise HypothesisViolation(f"F-component {missing[0]!r} is not complete")
+    if len(_components(range(g.n), [e + f for e, f in zip(g.e_adj, g.f_adj)])) != 1:
         raise HypothesisViolation("union graph is not connected")
-    c_g = len(_components(g.vertices, _adjacency(g, "e")))
+    c_g = len(_components(range(g.n), g.e_adj))
     c_h = len(comps_f)
     return CriterionCounts(c_g, c_h, c_g + c_h < g.n + 1)
 
@@ -330,14 +329,12 @@ def multipartite_hypotheses(g: SRGraph) -> bool:
     E-isolated vertices is at most the number of F-components, and each
     F-component is more than twice as large as its largest part.  When true,
     an SR-cycle is guaranteed."""
-    adj_f = _adjacency(g, "f")
-    comps = _components(g.vertices, adj_f)
-    st = stats(g)
-    if len(st.i_g) > len(comps):
+    comps = _components(range(g.n), g.f_adj)
+    if sum(not nbrs for nbrs in g.e_adj) > len(comps):
         return False
     for comp in comps:
         try:
-            sizes = is_complete_multipartite(comp, g.f_edges)
+            sizes = is_complete_multipartite((g.vertices[i] for i in comp), g.f_edges)
         except NotMultipartite:
             return False
         if len(comp) <= 2 * max(sizes):

@@ -445,10 +445,14 @@ class SubgroupAutomaton:
         if not isinstance(data.get("edges"), list):
             raise ParseError("edges must be a list of [state, symbol, state] triples")
 
+        # only the states that edges or the base name are folded, numbered
+        # as they appear, so the cost follows the file and not its states count
+        number: dict[int, int] = {}
+
         def state(v, what: str) -> int:
             if type(v) is not int or not 0 <= v < states:
                 raise ParseError(f"{what} state {v!r} is not in range({states})")
-            return v
+            return number.setdefault(v, len(number))
 
         edges = []
         for e in data["edges"]:
@@ -456,7 +460,8 @@ class SubgroupAutomaton:
                 raise ParseError(f"edge {e!r} is not a [state, symbol, state] triple")
             u, sym, v = e
             edges.append((state(u, "edge"), alphabet.index_of(sym), state(v, "edge"), ()))
-        delta, base, _ = _fold(states, edges, state(data.get("base"), "base"))
+        base = state(data.get("base"), "base")
+        delta, base, _ = _fold(len(number), edges, base)
         basis = tuple(parse_word(alphabet, b) for b in data["basis"])
         h = SubgroupAutomaton(alphabet, tuple(_core(delta, base)), basis)
         h._basis_labels()  # refuses a basis that does not generate the automaton

@@ -14,6 +14,7 @@ from srlab.errors import (
     SearchBudgetExceeded,
 )
 from srlab.sr_graph import (
+    GraphStats,
     SRCycle,
     cycle_certificate,
     complete_criterion,
@@ -353,12 +354,11 @@ def test_star_free_f_components_force_cycle():
         if sub_stats.i_h:
             continue
         star = False
-        from srlab.sr_graph import _adjacency, _components
+        from srlab.sr_graph import _components
 
-        adj_f = _adjacency(sub, "f")
-        for comp in _components(sub.vertices, adj_f):
+        for comp in _components(range(sub.n), sub.f_adj):
             if len(comp) >= 3:
-                degs = sorted(len(adj_f[v]) for v in comp)
+                degs = sorted(len(sub.f_adj[i]) for i in comp)
                 if degs[-1] == len(comp) - 1 and all(d == 1 for d in degs[:-1]):
                     star = True
         if star:
@@ -382,18 +382,28 @@ def test_inequality_on_random_instances(seed):
 
 
 def _brute_cut_vertices(g):
-    # reference: delete each vertex in turn and recount union components
-    from srlab.sr_graph import _adjacency, _components
+    # reference: delete each vertex in turn and recount union components,
+    # on an adjacency built here from the edge sets
+    adj_u = {v: set() for v in g.vertices}
+    for u, v in g.e_edges | g.f_edges:
+        adj_u[u].add(v)
+        adj_u[v].add(u)
 
-    adj_u = _adjacency(g, "union")
-    c_union = len(_components(g.vertices, adj_u))
-    cut = []
-    for v in g.vertices:
-        rest = [u for u in g.vertices if u != v]
-        adj_rest = {u: [t for t in adj_u[u] if t != v] for u in rest}
-        if len(_components(rest, adj_rest)) > c_union:
-            cut.append(v)
-    return tuple(cut)
+    def count_components(removed):
+        seen, count = {removed}, 0
+        for v in g.vertices:
+            if v not in seen:
+                count += 1
+                seen.add(v)
+                stack = [v]
+                while stack:
+                    for t in adj_u[stack.pop()] - seen:
+                        seen.add(t)
+                        stack.append(t)
+        return count
+
+    c_union = count_components(object())
+    return tuple(v for v in g.vertices if count_components(v) > c_union)
 
 
 def _recursive_find_sr_cycle(g, budget):
@@ -558,3 +568,83 @@ def test_cycle_search_matches_recursive_reference():
             assert _search_outcome(find_sr_cycle, g, budget) == expected, graph_to_json(g)
             cases += 1
     assert decided >= 40 and cases > 13000
+
+
+# -- error texts and non-int vertex ids -------------------------------------------
+
+
+def test_first_incomplete_e_component_message_is_pinned():
+    # {1, 2} is complete; {8, 9, 10, 11} misses 9-11 and {12, 13, 14} misses
+    # 12-14; 10 sorts before 9 as text, so the text order would show here
+    e_edges = [(1, 2), (8, 9), (8, 10), (8, 11), (9, 10), (10, 11), (12, 13), (13, 14)]
+    with pytest.raises(NonCompleteEComponent) as info:
+        validate(range(1, 15), e_edges, [(2, 8)])
+    assert str(info.value) == "E-component [8, 9, 10, 11] misses edge (9, 11)"
+    e_edges = [(1, 2), (2, "c"), (1, "c"), (9, 10), (9, "a"), (10, "a"), ("a", "b")]
+    with pytest.raises(NonCompleteEComponent) as info:
+        validate([1, 2, "a", "b", "c", 10, 9], e_edges, [])
+    assert str(info.value) == "E-component [9, 10, 'a', 'b'] misses edge (9, 'b')"
+
+
+def test_first_incomplete_f_component_message_is_pinned():
+    # F-components {1, 6}, {2, 3} are complete; {4, 9, 10} misses 9-10
+    g = validate(range(1, 11), [(1, 2), (3, 4), (9, 6)], [(2, 3), (4, 9), (4, 10), (1, 6)])
+    with pytest.raises(HypothesisViolation) as info:
+        criterion_counts(g)
+    assert str(info.value) == "F-component [4, 9, 10] is not complete"
+    g = validate([1, "x", 2, "y", 3], [(1, "x"), (2, "y")], [("x", 2), (1, 3), (3, "y")])
+    with pytest.raises(HypothesisViolation) as info:
+        criterion_counts(g)
+    assert str(info.value) == "F-component [1, 3, 'y'] is not complete"
+
+
+def _outcomes(g):
+    out = []
+    for fn in (stats, find_sr_cycle, criterion_counts, multipartite_hypotheses, cycle_certificate):
+        try:
+            out.append(fn(g))
+        except HypothesisViolation:
+            out.append(HypothesisViolation)
+    return out
+
+
+def _map_ids(value, back):
+    if isinstance(value, (tuple, list)):
+        return type(value)(_map_ids(v, back) for v in value)
+    if isinstance(value, dict):
+        return {k: _map_ids(v, back) for k, v in value.items()}
+    if isinstance(value, SRCycle):
+        return SRCycle(_map_ids(value.vertex_sequence, back))
+    if isinstance(value, GraphStats):
+        ids = (value.i_g, value.i_h, value.cut_vertices)
+        return GraphStats(value.c_g, value.c_h, *(_map_ids(x, back) for x in ids))
+    return back[value] if type(value) is int else value
+
+
+@pytest.mark.parametrize("ids", ["strings", "mixed"])
+def test_non_int_ids_match_their_order_preserving_relabelling(ids):
+    from srlab.experiments import random_planted_multipartite, random_sr_graph
+
+    rng = random.Random(61)
+    mixed = [-1, 0, 3, 17, 40, 100, "10", "A", "a", "b", "v10", "v9", "x", "y"]
+    pool = [f"v{i}" for i in range(40)] if ids == "strings" else mixed
+    sources = [_random_sr_graph(rng) for _ in range(300)]
+    sources += [random_sr_graph(rng) for _ in range(300)]
+    sources += [random_planted_multipartite(rng) for _ in range(100)]
+    sources = [g for g in sources if g.n <= len(pool)]
+    cycles = 0
+    for src in sources:
+        label = dict(zip(src.vertices, rng.sample(pool, src.n)))
+        relabel = lambda edges, m: [(m[u], m[v]) for u, v in edges]
+        g = validate(label.values(), relabel(src.e_edges, label), relabel(src.f_edges, label))
+        # ints in numeric order, then strings in text order
+        order = sorted(v for v in g.vertices if type(v) is int)
+        order += sorted(v for v in g.vertices if type(v) is str)
+        assert list(g.vertices) == order
+        rank = {v: i + 1 for i, v in enumerate(order)}
+        h = validate(range(1, g.n + 1), relabel(g.e_edges, rank), relabel(g.f_edges, rank))
+        back = {i: v for v, i in rank.items()}
+        expected = [_map_ids(x, back) for x in _outcomes(h)]
+        assert _outcomes(g) == expected, graph_to_json(h)
+        cycles += expected[1] is not None
+    assert cycles > 100

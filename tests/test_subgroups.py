@@ -362,6 +362,37 @@ class TestSerialization:
         for text in (json.dumps(A_LOOP), json.dumps(data)):
             assert SubgroupAutomaton.from_json(text).to_json() == sub("a").to_json()
 
+    def test_cost_follows_the_file_not_its_states_count(self):
+        import tracemalloc
+
+        far = 999_999
+        files = [
+            ({**A_LOOP, "states": 10**6, "edges": [], "basis": []}, sub()),
+            ({**A_LOOP, "states": 10**6, "base": far, "edges": [[far, "a", far]]}, sub("a")),
+        ]
+        for data, expected in files:
+            tracemalloc.start()
+            try:
+                h = SubgroupAutomaton.from_json(json.dumps(data))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert h.to_json() == expected.to_json()
+            assert peak < 2 * 1024 * 1024
+        with pytest.raises(ParseError):
+            SubgroupAutomaton.from_json(json.dumps({**A_LOOP, "states": 10**6, "base": 10**6}))
+
+    def test_shape_errors_name_the_json_key(self):
+        with pytest.raises(ParseError) as info:
+            SubgroupAutomaton.from_json(json.dumps({**A_LOOP, "alphabet": "ab"}))
+        assert str(info.value) == "JSON key 'alphabet' must hold a list of words"
+        from srlab.hnn import HnnPresentation
+
+        text = '{"base":["a","h"],"A":["h"],"B":["h"],"phi":"h","stable":"t"}'
+        with pytest.raises(ParseError) as info:
+            HnnPresentation.from_json(text)
+        assert str(info.value) == "JSON key 'phi' must hold a list of [word, word] pairs"
+
 
 def _restrict_to_core(delta, base):
     """Reference: keep the base component, then prune dead ends until none is left."""
